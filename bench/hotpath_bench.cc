@@ -5,9 +5,10 @@
 /// runs against the committed baselines and flags >10% throughput drops.
 ///
 /// Where the pre-refactor implementation still exists in-binary (the
-/// string-set similarity path, the heap-node Json parser), each entry
-/// also measures it and reports the speedup — so the committed file
-/// *is* the before/after evidence, regenerable on any machine:
+/// string-set similarity path; the heap-node tree JSON parser, frozen in
+/// src/testing/tree_json.h as testing::TreeJson), each entry also
+/// measures it and reports the speedup — so the committed file *is* the
+/// before/after evidence, regenerable on any machine:
 ///
 ///   streaming_ingest   msgs/sec through tokenize + per-open-window
 ///                      similarity updates (legacy: string tokens into a
@@ -18,7 +19,7 @@
 ///                      into a vector of heap strings)
 ///   http_parse         bytes/sec through RequestParser (no in-binary
 ///                      legacy: the copying parser was replaced)
-///   json_decode_arena  MB/s through JsonDoc::Parse (legacy: Json::Parse
+///   json_decode_arena  MB/s through JsonDoc::Parse (legacy: TreeJson::Parse
 ///                      heap-node tree over identical input)
 ///   codec_decode       ingest-chat decodes/sec end to end (JsonDoc +
 ///                      the one string materialization into core::Message)
@@ -41,9 +42,9 @@
 #include "bench/bench_util.h"
 #include "net/codec.h"
 #include "net/http.h"
-#include "net/json.h"
 #include "net/json_arena.h"
 #include "serving/api.h"
+#include "testing/tree_json.h"
 #include "text/streaming_similarity.h"
 #include "text/token_ids.h"
 #include "text/tokenizer.h"
@@ -358,7 +359,7 @@ Entry BenchJsonDecode(const std::string& body, int reps) {
   // Parsed-output sanity first.
   {
     auto doc = net::JsonDoc::Parse(body);
-    auto legacy = net::Json::Parse(body);
+    auto legacy = testing::TreeJson::Parse(body);
     if (!doc.ok() || !legacy.ok() ||
         doc.value().root().size() != legacy.value().AsObject().size()) {
       std::fprintf(stderr, "FATAL: json decode paths disagree\n");
@@ -379,7 +380,7 @@ Entry BenchJsonDecode(const std::string& body, int reps) {
   });
   e.baseline_legacy = BestThroughput(8, mb * chunk_reps, [&] {
     for (int r = 0; r < chunk_reps; ++r) {
-      auto tree = net::Json::Parse(body);
+      auto tree = testing::TreeJson::Parse(body);
       if (!tree.ok()) std::exit(1);
       sink += tree.value().AsObject().size();
     }

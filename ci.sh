@@ -266,17 +266,18 @@ fi
 
 # The storage engine and the fault-injection suite do the pointer- and
 # buffer-heavy work (log framing, torn-tail truncation, crash-point
-# enumeration): run their tests under AddressSanitizer + UBSan.
+# enumeration), and the JSON decoders take untrusted bytes off the wire:
+# run their tests under AddressSanitizer + UBSan.
 if [ "${SKIP_ASAN:-0}" != "1" ]; then
-  echo "== address+ub sanitizer: storage + fault + recovery tests ($ASAN_BUILD_DIR) =="
+  echo "== address+ub sanitizer: storage + fault + recovery + json tests ($ASAN_BUILD_DIR) =="
   cmake -B "$ASAN_BUILD_DIR" -S . -DLIGHTOR_SANITIZE=address,undefined \
       >/dev/null
   cmake --build "$ASAN_BUILD_DIR" -j --target \
       storage_serialize_test storage_log_test storage_stores_test \
       storage_database_test storage_compaction_test \
       storage_webservice_test storage_faults_test storage_checkpoint_test \
-      serving_recovery_test property_test hotpath_diff_test
+      serving_recovery_test property_test hotpath_diff_test net_json_test
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
-      -R '^(storage_|serving_recovery|property|hotpath_diff)'
+      -R '^(storage_|serving_recovery|property|hotpath_diff|net_json)'
 fi
 echo "ci: OK"

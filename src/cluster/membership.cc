@@ -4,7 +4,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "net/json.h"
+#include "net/json_arena.h"
 
 namespace lightor::cluster {
 
@@ -44,25 +44,26 @@ common::Result<std::pair<std::string, uint16_t>> SplitAddress(
 
 common::Result<std::vector<std::string>> ParseMembership(
     std::string_view json) {
-  LIGHTOR_ASSIGN_OR_RETURN(net::Json doc, net::Json::Parse(json));
-  if (!doc.is_object()) {
+  LIGHTOR_ASSIGN_OR_RETURN(net::JsonDoc doc, net::JsonDoc::Parse(json));
+  if (!doc.root().is_object()) {
     return common::Status::InvalidArgument(
         "membership: document must be a JSON object");
   }
-  const net::Json* backends = doc.Find("backends");
-  if (backends == nullptr || !backends->is_array()) {
+  const net::JsonDoc::Ref backends = doc.root().Find("backends");
+  if (!backends || !backends.is_array()) {
     return common::Status::InvalidArgument(
         "membership: missing array field \"backends\"");
   }
   std::vector<std::string> out;
-  out.reserve(backends->AsArray().size());
-  for (const net::Json& entry : backends->AsArray()) {
+  out.reserve(backends.size());
+  for (net::JsonDoc::Ref entry = backends.first_child(); entry;
+       entry = entry.next_sibling()) {
     if (!entry.is_string()) {
       return common::Status::InvalidArgument(
           "membership: backends entries must be \"host:port\" strings");
     }
     LIGHTOR_RETURN_IF_ERROR(SplitAddress(entry.AsString()).status());
-    out.push_back(entry.AsString());
+    out.emplace_back(entry.AsString());
   }
   return out;
 }

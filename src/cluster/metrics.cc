@@ -1,8 +1,9 @@
 #include "cluster/metrics.h"
 
+#include <cmath>
 #include <utility>
 
-#include "net/json.h"
+#include "net/json_arena.h"
 
 namespace lightor::cluster {
 
@@ -72,74 +73,91 @@ obs::Histogram& UpstreamLatency(const std::string& backend) {
 
 namespace {
 
-common::Result<obs::LabelList> ParseLabels(const net::Json& entry) {
+using net::JsonDoc;
+
+common::Result<obs::LabelList> ParseLabels(JsonDoc::Ref entry) {
   obs::LabelList labels;
-  const net::Json* obj = entry.Find("labels");
-  if (obj == nullptr) return labels;  // label-less series
-  if (!obj->is_object()) {
+  const JsonDoc::Ref obj = entry.Find("labels");
+  if (!obj) return labels;  // label-less series
+  if (!obj.is_object()) {
     return common::Status::InvalidArgument(
         "metrics json: \"labels\" must be an object");
   }
-  for (const auto& [key, value] : obj->AsObject()) {
+  for (JsonDoc::Ref value = obj.first_child(); value;
+       value = value.next_sibling()) {
     if (!value.is_string()) {
       return common::Status::InvalidArgument(
           "metrics json: label values must be strings");
     }
-    labels.emplace_back(key, value.AsString());
+    labels.emplace_back(value.key(), value.AsString());
   }
   return labels;
 }
 
-common::Result<double> GetNumber(const net::Json& entry, const char* field) {
-  const net::Json* value = entry.Find(field);
-  if (value == nullptr || !value->is_number()) {
+common::Result<double> GetNumber(JsonDoc::Ref entry, const char* field) {
+  const JsonDoc::Ref value = entry.Find(field);
+  if (!value || !value.is_number()) {
     return common::Status::InvalidArgument(
         std::string("metrics json: missing number field \"") + field + "\"");
   }
-  return value->AsNumber();
+  return value.AsNumber();
 }
 
-common::Result<std::string> GetName(const net::Json& entry) {
-  const net::Json* name = entry.Find("name");
-  if (name == nullptr || !name->is_string()) {
+/// A counter value or bucket/observation count: a whole number in
+/// [0, 2^64). Anything else is a malformed scrape, never a cast.
+common::Result<uint64_t> GetCount(JsonDoc::Ref entry, const char* field) {
+  LIGHTOR_ASSIGN_OR_RETURN(const double value, GetNumber(entry, field));
+  if (value < 0.0 || value != std::floor(value) ||
+      value >= 18446744073709551616.0) {
+    return common::Status::InvalidArgument(
+        std::string("metrics json: \"") + field +
+        "\" must be a whole number in [0, 2^64)");
+  }
+  return static_cast<uint64_t>(value);
+}
+
+common::Result<std::string> GetName(JsonDoc::Ref entry) {
+  const JsonDoc::Ref name = entry.Find("name");
+  if (!name || !name.is_string()) {
     return common::Status::InvalidArgument(
         "metrics json: series entry missing string \"name\"");
   }
-  return name->AsString();
+  return std::string(name.AsString());
 }
 
 }  // namespace
 
 common::Result<obs::RegistrySnapshot> ParseMetricsJson(
     std::string_view json) {
-  LIGHTOR_ASSIGN_OR_RETURN(net::Json doc, net::Json::Parse(json));
-  if (!doc.is_object()) {
+  LIGHTOR_ASSIGN_OR_RETURN(JsonDoc doc, JsonDoc::Parse(json));
+  if (!doc.root().is_object()) {
     return common::Status::InvalidArgument(
         "metrics json: document must be an object");
   }
   obs::RegistrySnapshot snapshot;
 
-  if (const net::Json* counters = doc.Find("counters")) {
-    if (!counters->is_array()) {
+  if (const JsonDoc::Ref counters = doc.root().Find("counters")) {
+    if (!counters.is_array()) {
       return common::Status::InvalidArgument(
           "metrics json: \"counters\" must be an array");
     }
-    for (const net::Json& entry : counters->AsArray()) {
+    for (JsonDoc::Ref entry = counters.first_child(); entry;
+         entry = entry.next_sibling()) {
       obs::CounterSnapshot c;
       LIGHTOR_ASSIGN_OR_RETURN(c.name, GetName(entry));
       LIGHTOR_ASSIGN_OR_RETURN(c.labels, ParseLabels(entry));
-      LIGHTOR_ASSIGN_OR_RETURN(const double value, GetNumber(entry, "value"));
-      c.value = static_cast<uint64_t>(value);
+      LIGHTOR_ASSIGN_OR_RETURN(c.value, GetCount(entry, "value"));
       snapshot.counters.push_back(std::move(c));
     }
   }
 
-  if (const net::Json* gauges = doc.Find("gauges")) {
-    if (!gauges->is_array()) {
+  if (const JsonDoc::Ref gauges = doc.root().Find("gauges")) {
+    if (!gauges.is_array()) {
       return common::Status::InvalidArgument(
           "metrics json: \"gauges\" must be an array");
     }
-    for (const net::Json& entry : gauges->AsArray()) {
+    for (JsonDoc::Ref entry = gauges.first_child(); entry;
+         entry = entry.next_sibling()) {
       obs::GaugeSnapshot g;
       LIGHTOR_ASSIGN_OR_RETURN(g.name, GetName(entry));
       LIGHTOR_ASSIGN_OR_RETURN(g.labels, ParseLabels(entry));
@@ -148,40 +166,41 @@ common::Result<obs::RegistrySnapshot> ParseMetricsJson(
     }
   }
 
-  if (const net::Json* histograms = doc.Find("histograms")) {
-    if (!histograms->is_array()) {
+  if (const JsonDoc::Ref histograms = doc.root().Find("histograms")) {
+    if (!histograms.is_array()) {
       return common::Status::InvalidArgument(
           "metrics json: \"histograms\" must be an array");
     }
-    for (const net::Json& entry : histograms->AsArray()) {
+    for (JsonDoc::Ref entry = histograms.first_child(); entry;
+         entry = entry.next_sibling()) {
       obs::HistogramSnapshot h;
       LIGHTOR_ASSIGN_OR_RETURN(h.name, GetName(entry));
       LIGHTOR_ASSIGN_OR_RETURN(h.labels, ParseLabels(entry));
-      const net::Json* buckets = entry.Find("buckets");
-      if (buckets == nullptr || !buckets->is_array()) {
+      const JsonDoc::Ref buckets = entry.Find("buckets");
+      if (!buckets || !buckets.is_array()) {
         return common::Status::InvalidArgument(
             "metrics json: histogram missing \"buckets\" array");
       }
-      for (const net::Json& bucket : buckets->AsArray()) {
+      for (JsonDoc::Ref bucket = buckets.first_child(); bucket;
+           bucket = bucket.next_sibling()) {
         // "le" is a number for finite bounds and the string "+Inf" for
         // the overflow bucket (which carries no bound entry).
-        const net::Json* le = bucket.Find("le");
-        if (le == nullptr) {
+        const JsonDoc::Ref le = bucket.Find("le");
+        if (!le) {
           return common::Status::InvalidArgument(
               "metrics json: bucket missing \"le\"");
         }
-        if (le->is_number()) h.bounds.push_back(le->AsNumber());
-        LIGHTOR_ASSIGN_OR_RETURN(const double count,
-                                 GetNumber(bucket, "count"));
-        h.bucket_counts.push_back(static_cast<uint64_t>(count));
+        if (le.is_number()) h.bounds.push_back(le.AsNumber());
+        LIGHTOR_ASSIGN_OR_RETURN(const uint64_t count,
+                                 GetCount(bucket, "count"));
+        h.bucket_counts.push_back(count);
       }
       if (h.bucket_counts.size() != h.bounds.size() + 1) {
         return common::Status::InvalidArgument(
             "metrics json: histogram must end with one +Inf bucket");
       }
       LIGHTOR_ASSIGN_OR_RETURN(h.sum, GetNumber(entry, "sum"));
-      LIGHTOR_ASSIGN_OR_RETURN(const double count, GetNumber(entry, "count"));
-      h.count = static_cast<uint64_t>(count);
+      LIGHTOR_ASSIGN_OR_RETURN(h.count, GetCount(entry, "count"));
       snapshot.histograms.push_back(std::move(h));
     }
   }

@@ -7,7 +7,8 @@
 #include "cluster/metrics.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "net/json.h"
+#include "common/strings.h"
+#include "net/json_arena.h"
 #include "obs/export.h"
 #include "obs/trace_context.h"
 
@@ -27,13 +28,28 @@ double SecondsSince(Clock::time_point start) {
 /// as the backend itself would answer — the router never guesses an
 /// owner.
 common::Result<std::string> VideoIdFromBody(std::string_view body) {
-  LIGHTOR_ASSIGN_OR_RETURN(net::Json doc, net::Json::Parse(body));
-  const net::Json* video_id = doc.Find("video_id");
-  if (video_id == nullptr || !video_id->is_string()) {
+  LIGHTOR_ASSIGN_OR_RETURN(net::JsonDoc doc, net::JsonDoc::Parse(body));
+  const net::JsonDoc::Ref video_id = doc.root().Find("video_id");
+  if (!video_id || !video_id.is_string()) {
     return common::Status::InvalidArgument(
         "router: missing string field \"video_id\"");
   }
-  return video_id->AsString();
+  return std::string(video_id.AsString());
+}
+
+/// `"backends":[{"address":...,"health":...},...]` — the member list
+/// shared by /healthz and GET /admin/membership.
+void AppendBackends(const std::vector<BackendStatus>& statuses,
+                    std::string& out) {
+  out += "\"backends\":[";
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    out += i == 0 ? "{\"address\":" : ",{\"address\":";
+    common::AppendJsonString(statuses[i].address, out);
+    out += ",\"health\":";
+    common::AppendJsonString(BackendHealthName(statuses[i].health), out);
+    out += '}';
+  }
+  out += ']';
 }
 
 double HealthGaugeValue(BackendHealth health) {
@@ -356,34 +372,21 @@ net::HttpResponse HighlightRouter::HandleMetrics(
 }
 
 net::HttpResponse HighlightRouter::HandleHealthz() {
-  net::Json backends = net::Json::MakeArray();
-  for (const BackendStatus& status : fleet_.Statuses()) {
-    net::Json entry = net::Json::MakeObject();
-    entry.Set("address", net::Json::Str(status.address));
-    entry.Set("health", net::Json::Str(BackendHealthName(status.health)));
-    backends.Append(std::move(entry));
-  }
-  net::Json body = net::Json::MakeObject();
-  body.Set("status", net::Json::Str("ok"));
-  body.Set("role", net::Json::Str("router"));
-  body.Set("ring_size",
-           net::Json::Int(static_cast<int64_t>(fleet_.NumMembers())));
-  body.Set("backends", std::move(backends));
-  return net::JsonResponse(200, body.Dump());
+  std::string body = "{\"status\":\"ok\",\"role\":\"router\",\"ring_size\":";
+  common::AppendJsonNumber(fleet_.NumMembers(), body);
+  body += ',';
+  AppendBackends(fleet_.Statuses(), body);
+  body += '}';
+  return net::JsonResponse(200, std::move(body));
 }
 
 net::HttpResponse HighlightRouter::HandleGetMembership() {
-  net::Json backends = net::Json::MakeArray();
-  for (const BackendStatus& status : fleet_.Statuses()) {
-    net::Json entry = net::Json::MakeObject();
-    entry.Set("address", net::Json::Str(status.address));
-    entry.Set("health", net::Json::Str(BackendHealthName(status.health)));
-    backends.Append(std::move(entry));
-  }
-  net::Json body = net::Json::MakeObject();
-  body.Set("version", net::Json::Int(static_cast<int64_t>(fleet_.Version())));
-  body.Set("backends", std::move(backends));
-  return net::JsonResponse(200, body.Dump());
+  std::string body = "{\"version\":";
+  common::AppendJsonNumber(fleet_.Version(), body);
+  body += ',';
+  AppendBackends(fleet_.Statuses(), body);
+  body += '}';
+  return net::JsonResponse(200, std::move(body));
 }
 
 net::HttpResponse HighlightRouter::HandlePostMembership(

@@ -86,4 +86,52 @@ std::string FormatTimestamp(double seconds) {
   return buf;
 }
 
+void AppendJsonString(std::string_view s, std::string& out) {
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+}
+
+void AppendJsonNumber(double v, std::string& out) {
+  char buf[32];
+  if (v == std::floor(v) && std::abs(v) < 9.2e18) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  out += buf;
+}
+
 }  // namespace lightor::common

@@ -31,6 +31,18 @@ std::string FormatDouble(double x, int precision = 3);
 /// Renders seconds as "h:mm:ss".
 std::string FormatTimestamp(double seconds);
 
+/// Appends `s` as a double-quoted JSON string literal: `"` and `\` are
+/// backslash-escaped, \n \r \t \b \f use their short escapes, any other
+/// byte below 0x20 becomes \u00XX, and UTF-8 passes through unchanged.
+/// The one JSON string escaper of the codebase.
+void AppendJsonString(std::string_view s, std::string& out);
+
+/// Appends `v` as a JSON number: integral values within int64 range
+/// print exactly ("%lld", so ids and counts round-trip), everything else
+/// with enough digits to round-trip a double ("%.17g"). `v` must be
+/// finite.
+void AppendJsonNumber(double v, std::string& out);
+
 }  // namespace lightor::common
 
 #endif  // LIGHTOR_COMMON_STRINGS_H_

@@ -2,12 +2,15 @@
 
 #include <cmath>
 
-#include "net/json.h"
+#include "common/strings.h"
 #include "net/json_arena.h"
 
 namespace lightor::net {
 
 namespace {
+
+using common::AppendJsonNumber;
+using common::AppendJsonString;
 
 common::Status FieldError(std::string_view key, std::string_view what) {
   return common::Status::InvalidArgument("codec: field \"" +
@@ -89,17 +92,74 @@ common::Result<sim::InteractionType> InteractionTypeFromName(
                                          std::string(name) + "\"");
 }
 
-Json HighlightToJson(const storage::HighlightRecord& rec) {
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(rec.video_id));
-  obj.Set("dot_index", Json::Int(rec.dot_index));
-  obj.Set("dot_position", Json::Number(rec.dot_position));
-  obj.Set("start", Json::Number(rec.start));
-  obj.Set("end", Json::Number(rec.end));
-  obj.Set("score", Json::Number(rec.score));
-  obj.Set("iteration", Json::Int(rec.iteration));
-  obj.Set("converged", Json::Bool(rec.converged));
-  return obj;
+// Encoders append straight into the output string: each literal carries
+// the separator, the key and its colon, so the bytes on the wire read
+// off the source.
+
+const char* Bool(bool v) { return v ? "true" : "false"; }
+
+/// `"highlights":[...]` — the dot list shared by the response encoders.
+void AppendHighlights(const std::vector<storage::HighlightRecord>& records,
+                      std::string& out) {
+  out += "\"highlights\":[";
+  for (size_t i = 0; i < records.size(); ++i) {
+    const storage::HighlightRecord& rec = records[i];
+    out += i == 0 ? "{\"video_id\":" : ",{\"video_id\":";
+    AppendJsonString(rec.video_id, out);
+    out += ",\"dot_index\":";
+    AppendJsonNumber(rec.dot_index, out);
+    out += ",\"dot_position\":";
+    AppendJsonNumber(rec.dot_position, out);
+    out += ",\"start\":";
+    AppendJsonNumber(rec.start, out);
+    out += ",\"end\":";
+    AppendJsonNumber(rec.end, out);
+    out += ",\"score\":";
+    AppendJsonNumber(rec.score, out);
+    out += ",\"iteration\":";
+    AppendJsonNumber(rec.iteration, out);
+    out += ",\"converged\":";
+    out += Bool(rec.converged);
+    out += '}';
+  }
+  out += ']';
+}
+
+/// `{"video_id":...,"messages":[...]}` — one live-chat batch, alone or
+/// as an element of a batch frame.
+void AppendIngestChatRequest(const serving::IngestChatRequest& v,
+                             std::string& out) {
+  out += "{\"video_id\":";
+  AppendJsonString(v.video_id, out);
+  out += ",\"messages\":[";
+  for (size_t i = 0; i < v.messages.size(); ++i) {
+    out += i == 0 ? "{\"timestamp\":" : ",{\"timestamp\":";
+    AppendJsonNumber(v.messages[i].timestamp, out);
+    out += ",\"user\":";
+    AppendJsonString(v.messages[i].user, out);
+    out += ",\"text\":";
+    AppendJsonString(v.messages[i].text, out);
+    out += '}';
+  }
+  out += "]}";
+}
+
+/// The ingest response fields without the closing brace, so a batch
+/// entry can append its own fields to the same object.
+void AppendIngestChatResponseFields(const serving::IngestChatResponse& v,
+                                    std::string& out) {
+  out += "{\"accepted\":";
+  AppendJsonNumber(v.accepted, out);
+  out += ",\"rejected\":";
+  AppendJsonNumber(v.rejected, out);
+  out += ",\"provisional_published\":";
+  out += Bool(v.provisional_published);
+  out += ",\"snapshot_version\":";
+  AppendJsonNumber(v.snapshot_version, out);
+  out += ",\"throttled\":";
+  out += Bool(v.throttled);
+  out += ",\"retry_after_seconds\":";
+  AppendJsonNumber(v.retry_after_seconds, out);
 }
 
 common::Result<storage::HighlightRecord> HighlightFromJson(JsonDoc::Ref obj) {
@@ -119,12 +179,6 @@ common::Result<storage::HighlightRecord> HighlightFromJson(JsonDoc::Ref obj) {
   rec.iteration = static_cast<int32_t>(iteration);
   LIGHTOR_ASSIGN_OR_RETURN(rec.converged, GetBool(obj, "converged"));
   return rec;
-}
-
-Json HighlightsToJson(const std::vector<storage::HighlightRecord>& records) {
-  Json arr = Json::MakeArray();
-  for (const auto& rec : records) arr.Append(HighlightToJson(rec));
-  return arr;
 }
 
 /// Decodes one {"video_id","messages":[...]} entry on the arena doc —
@@ -171,10 +225,14 @@ common::Result<std::vector<storage::HighlightRecord>> HighlightsFromJson(
 }  // namespace
 
 std::string EncodeJson(const serving::PageVisitRequest& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(v.video_id));
-  if (!v.user.empty()) obj.Set("user", Json::Str(v.user));
-  return obj.Dump();
+  std::string out = "{\"video_id\":";
+  AppendJsonString(v.video_id, out);
+  if (!v.user.empty()) {
+    out += ",\"user\":";
+    AppendJsonString(v.user, out);
+  }
+  out += '}';
+  return out;
 }
 
 common::Result<serving::PageVisitRequest> DecodePageVisitRequest(
@@ -191,13 +249,16 @@ common::Result<serving::PageVisitRequest> DecodePageVisitRequest(
 }
 
 std::string EncodeJson(const serving::PageVisitResponse& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("highlights", HighlightsToJson(v.highlights));
-  obj.Set("first_visit", Json::Bool(v.first_visit));
-  obj.Set("snapshot_version", Json::Int(static_cast<int64_t>(
-                                  v.snapshot_version)));
-  obj.Set("provisional", Json::Bool(v.provisional));
-  return obj.Dump();
+  std::string out = "{";
+  AppendHighlights(v.highlights, out);
+  out += ",\"first_visit\":";
+  out += Bool(v.first_visit);
+  out += ",\"snapshot_version\":";
+  AppendJsonNumber(v.snapshot_version, out);
+  out += ",\"provisional\":";
+  out += Bool(v.provisional);
+  out += '}';
+  return out;
 }
 
 common::Result<serving::PageVisitResponse> DecodePageVisitResponse(
@@ -215,21 +276,26 @@ common::Result<serving::PageVisitResponse> DecodePageVisitResponse(
 }
 
 std::string EncodeJson(const serving::LogSessionRequest& v) {
-  Json events = Json::MakeArray();
-  for (const auto& event : v.events) {
-    Json e = Json::MakeObject();
-    e.Set("wall_time", Json::Number(event.wall_time));
-    e.Set("type", Json::Str(InteractionTypeName(event.type)));
-    e.Set("position", Json::Number(event.position));
-    e.Set("target", Json::Number(event.target));
-    events.Append(std::move(e));
+  std::string out = "{\"video_id\":";
+  AppendJsonString(v.video_id, out);
+  out += ",\"user\":";
+  AppendJsonString(v.user, out);
+  out += ",\"session_id\":";
+  AppendJsonNumber(v.session_id, out);
+  out += ",\"events\":[";
+  for (size_t i = 0; i < v.events.size(); ++i) {
+    out += i == 0 ? "{\"wall_time\":" : ",{\"wall_time\":";
+    AppendJsonNumber(v.events[i].wall_time, out);
+    out += ",\"type\":";
+    AppendJsonString(InteractionTypeName(v.events[i].type), out);
+    out += ",\"position\":";
+    AppendJsonNumber(v.events[i].position, out);
+    out += ",\"target\":";
+    AppendJsonNumber(v.events[i].target, out);
+    out += '}';
   }
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(v.video_id));
-  obj.Set("user", Json::Str(v.user));
-  obj.Set("session_id", Json::Int(static_cast<int64_t>(v.session_id)));
-  obj.Set("events", std::move(events));
-  return obj.Dump();
+  out += "]}";
+  return out;
 }
 
 common::Result<serving::LogSessionRequest> DecodeLogSessionRequest(
@@ -262,18 +328,9 @@ common::Result<serving::LogSessionRequest> DecodeLogSessionRequest(
 }
 
 std::string EncodeJson(const serving::IngestChatRequest& v) {
-  Json messages = Json::MakeArray();
-  for (const auto& message : v.messages) {
-    Json m = Json::MakeObject();
-    m.Set("timestamp", Json::Number(message.timestamp));
-    m.Set("user", Json::Str(message.user));
-    m.Set("text", Json::Str(message.text));
-    messages.Append(std::move(m));
-  }
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(v.video_id));
-  obj.Set("messages", std::move(messages));
-  return obj.Dump();
+  std::string out;
+  AppendIngestChatRequest(v, out);
+  return out;
 }
 
 common::Result<serving::IngestChatRequest> DecodeIngestChatRequest(
@@ -283,18 +340,6 @@ common::Result<serving::IngestChatRequest> DecodeIngestChatRequest(
 }
 
 namespace {
-
-Json IngestChatResponseToJson(const serving::IngestChatResponse& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("accepted", Json::Int(static_cast<int64_t>(v.accepted)));
-  obj.Set("rejected", Json::Int(static_cast<int64_t>(v.rejected)));
-  obj.Set("provisional_published", Json::Bool(v.provisional_published));
-  obj.Set("snapshot_version", Json::Int(static_cast<int64_t>(
-                                  v.snapshot_version)));
-  obj.Set("throttled", Json::Bool(v.throttled));
-  obj.Set("retry_after_seconds", Json::Number(v.retry_after_seconds));
-  return obj;
-}
 
 common::Result<serving::IngestChatResponse> IngestChatResponseFromJson(
     JsonDoc::Ref obj) {
@@ -327,7 +372,10 @@ common::Result<serving::IngestChatResponse> IngestChatResponseFromJson(
 }  // namespace
 
 std::string EncodeJson(const serving::IngestChatResponse& v) {
-  return IngestChatResponseToJson(v).Dump();
+  std::string out;
+  AppendIngestChatResponseFields(v, out);
+  out += '}';
+  return out;
 }
 
 common::Result<serving::IngestChatResponse> DecodeIngestChatResponse(
@@ -338,22 +386,13 @@ common::Result<serving::IngestChatResponse> DecodeIngestChatResponse(
 
 std::string EncodeIngestBatchRequest(
     const std::vector<serving::IngestChatRequest>& batches) {
-  Json arr = Json::MakeArray();
-  for (const auto& batch : batches) {
-    Json messages = Json::MakeArray();
-    for (const auto& message : batch.messages) {
-      Json m = Json::MakeObject();
-      m.Set("timestamp", Json::Number(message.timestamp));
-      m.Set("user", Json::Str(message.user));
-      m.Set("text", Json::Str(message.text));
-      messages.Append(std::move(m));
-    }
-    Json obj = Json::MakeObject();
-    obj.Set("video_id", Json::Str(batch.video_id));
-    obj.Set("messages", std::move(messages));
-    arr.Append(std::move(obj));
+  std::string out = "[";
+  for (size_t i = 0; i < batches.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendIngestChatRequest(batches[i], out);
   }
-  return arr.Dump();
+  out += ']';
+  return out;
 }
 
 common::Result<std::vector<serving::IngestChatRequest>>
@@ -380,19 +419,29 @@ DecodeIngestBatchRequest(std::string_view json) {
 
 std::string EncodeIngestBatchResponse(
     const std::vector<IngestBatchEntry>& entries) {
-  Json arr = Json::MakeArray();
-  for (const auto& entry : entries) {
-    Json obj = entry.status == 200 || entry.status == 429
-                   ? IngestChatResponseToJson(entry.response)
-                   : Json::MakeObject();
-    obj.Set("video_id", Json::Str(entry.video_id));
-    obj.Set("status", Json::Int(entry.status));
-    if (!entry.error.empty()) obj.Set("error", Json::Str(entry.error));
-    arr.Append(std::move(obj));
+  std::string out = "{\"entries\":[";
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const IngestBatchEntry& entry = entries[i];
+    if (i > 0) out += ',';
+    // Admitted and throttled entries carry the full ingest response;
+    // every entry then appends its own id and status.
+    if (entry.status == 200 || entry.status == 429) {
+      AppendIngestChatResponseFields(entry.response, out);
+      out += ",\"video_id\":";
+    } else {
+      out += "{\"video_id\":";
+    }
+    AppendJsonString(entry.video_id, out);
+    out += ",\"status\":";
+    AppendJsonNumber(entry.status, out);
+    if (!entry.error.empty()) {
+      out += ",\"error\":";
+      AppendJsonString(entry.error, out);
+    }
+    out += '}';
   }
-  Json root = Json::MakeObject();
-  root.Set("entries", std::move(arr));
-  return root.Dump();
+  out += "]}";
+  return out;
 }
 
 common::Result<std::vector<IngestBatchEntry>> DecodeIngestBatchResponse(
@@ -426,12 +475,14 @@ common::Result<std::vector<IngestBatchEntry>> DecodeIngestBatchResponse(
 }
 
 std::string EncodeJson(const serving::FinalizeStreamRequest& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(v.video_id));
+  std::string out = "{\"video_id\":";
+  AppendJsonString(v.video_id, out);
   if (v.video_length > 0.0) {
-    obj.Set("video_length", Json::Number(v.video_length));
+    out += ",\"video_length\":";
+    AppendJsonNumber(v.video_length, out);
   }
-  return obj.Dump();
+  out += '}';
+  return out;
 }
 
 common::Result<serving::FinalizeStreamRequest> DecodeFinalizeStreamRequest(
@@ -450,12 +501,14 @@ common::Result<serving::FinalizeStreamRequest> DecodeFinalizeStreamRequest(
 }
 
 std::string EncodeJson(const serving::FinalizeStreamResponse& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("highlights", HighlightsToJson(v.highlights));
-  obj.Set("snapshot_version", Json::Int(static_cast<int64_t>(
-                                  v.snapshot_version)));
-  obj.Set("video_length", Json::Number(v.video_length));
-  return obj.Dump();
+  std::string out = "{";
+  AppendHighlights(v.highlights, out);
+  out += ",\"snapshot_version\":";
+  AppendJsonNumber(v.snapshot_version, out);
+  out += ",\"video_length\":";
+  AppendJsonNumber(v.video_length, out);
+  out += '}';
+  return out;
 }
 
 common::Result<serving::FinalizeStreamResponse> DecodeFinalizeStreamResponse(
@@ -473,12 +526,14 @@ common::Result<serving::FinalizeStreamResponse> DecodeFinalizeStreamResponse(
 }
 
 std::string EncodeJson(const serving::GetHighlightsResponse& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("highlights", HighlightsToJson(v.highlights));
-  obj.Set("snapshot_version", Json::Int(static_cast<int64_t>(
-                                  v.snapshot_version)));
-  obj.Set("provisional", Json::Bool(v.provisional));
-  return obj.Dump();
+  std::string out = "{";
+  AppendHighlights(v.highlights, out);
+  out += ",\"snapshot_version\":";
+  AppendJsonNumber(v.snapshot_version, out);
+  out += ",\"provisional\":";
+  out += Bool(v.provisional);
+  out += '}';
+  return out;
 }
 
 common::Result<serving::GetHighlightsResponse> DecodeGetHighlightsResponse(
@@ -495,28 +550,37 @@ common::Result<serving::GetHighlightsResponse> DecodeGetHighlightsResponse(
 }
 
 std::string EncodeJson(const serving::RefineReport& v) {
-  Json dots = Json::MakeArray();
-  for (const auto& dot : v.dots) {
-    Json d = Json::MakeObject();
-    d.Set("dot_index", Json::Int(dot.dot_index));
-    d.Set("status", Json::Str(dot.status.ToString()));
-    d.Set("updated", Json::Bool(dot.updated));
-    d.Set("type",
-          Json::Str(dot.type == core::DotType::kTypeI ? "I" : "II"));
-    d.Set("enough_plays", Json::Bool(dot.enough_plays));
-    d.Set("plays_used", Json::Int(dot.plays_used));
-    d.Set("old_position", Json::Number(dot.old_position));
-    d.Set("new_position", Json::Number(dot.new_position));
-    d.Set("converged", Json::Bool(dot.converged));
-    dots.Append(std::move(d));
+  std::string out = "{\"video_id\":";
+  AppendJsonString(v.video_id, out);
+  out += ",\"dots_updated\":";
+  AppendJsonNumber(v.dots_updated, out);
+  out += ",\"sessions_consumed\":";
+  AppendJsonNumber(v.sessions_consumed, out);
+  out += ",\"dots\":[";
+  for (size_t i = 0; i < v.dots.size(); ++i) {
+    const serving::DotRefineOutcome& dot = v.dots[i];
+    out += i == 0 ? "{\"dot_index\":" : ",{\"dot_index\":";
+    AppendJsonNumber(dot.dot_index, out);
+    out += ",\"status\":";
+    AppendJsonString(dot.status.ToString(), out);
+    out += ",\"updated\":";
+    out += Bool(dot.updated);
+    out += dot.type == core::DotType::kTypeI ? ",\"type\":\"I\""
+                                             : ",\"type\":\"II\"";
+    out += ",\"enough_plays\":";
+    out += Bool(dot.enough_plays);
+    out += ",\"plays_used\":";
+    AppendJsonNumber(dot.plays_used, out);
+    out += ",\"old_position\":";
+    AppendJsonNumber(dot.old_position, out);
+    out += ",\"new_position\":";
+    AppendJsonNumber(dot.new_position, out);
+    out += ",\"converged\":";
+    out += Bool(dot.converged);
+    out += '}';
   }
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(v.video_id));
-  obj.Set("dots_updated", Json::Int(v.dots_updated));
-  obj.Set("sessions_consumed", Json::Int(static_cast<int64_t>(
-                                   v.sessions_consumed)));
-  obj.Set("dots", std::move(dots));
-  return obj.Dump();
+  out += "]}";
+  return out;
 }
 
 }  // namespace lightor::net

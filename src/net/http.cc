@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
-#include "net/json.h"
+#include "common/strings.h"
 
 namespace lightor::net {
 
@@ -181,7 +181,7 @@ HttpResponse JsonResponse(int status, std::string body) {
 
 HttpResponse ErrorResponse(int status, std::string_view message) {
   std::string body = "{\"error\":";
-  AppendJsonString(message, body);
+  common::AppendJsonString(message, body);
   body += "}";
   return JsonResponse(status, std::move(body));
 }

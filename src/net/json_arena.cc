@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <unordered_set>
 
 namespace lightor::net {
 
@@ -40,8 +41,8 @@ std::string_view JsonDoc::Ref::key() const {
   return doc_->ViewOf(doc_->nodes_[index_].key);
 }
 
-/// Same grammar, limits, and error strings as the legacy Json::Parse
-/// recursive-descent parser — the only difference is what gets built.
+/// Same grammar, limits, and error strings as the frozen tree parser in
+/// src/testing — the only difference is what gets built.
 class ArenaJsonParser {
  public:
   explicit ArenaJsonParser(std::string_view text) : text_(text) {
@@ -62,6 +63,10 @@ class ArenaJsonParser {
  private:
   static constexpr int kMaxDepth = 64;
   static constexpr uint32_t kNone = JsonDoc::kNone;
+  /// Objects up to this many members check duplicate keys with a linear
+  /// scan (wire objects have a handful); past it the keys move into a
+  /// hash set, so a huge flat object costs O(members), not O(members^2).
+  static constexpr uint32_t kLinearKeyScanMax = 16;
 
   common::Status Error(const std::string& what) const {
     return common::Status::InvalidArgument(
@@ -152,14 +157,10 @@ class ArenaJsonParser {
       if (!Peek('"')) return Error("expected object key");
       auto key = ParseString();
       if (!key.ok()) return key.status();
-      // Duplicate-key scan over the decoded keys already linked — same
-      // O(members) walk (and the same error string) as the legacy tree.
-      for (uint32_t c = doc_.nodes_[node].first_child; c != kNone;
-           c = doc_.nodes_[c].next_sibling) {
-        if (doc_.ViewOf(doc_.nodes_[c].key) == doc_.ViewOf(key.value())) {
-          return Error("duplicate object key \"" +
-                       std::string(doc_.ViewOf(key.value())) + "\"");
-        }
+      const std::string_view key_view = doc_.ViewOf(key.value());
+      if (IsDuplicateKey(node, key_view)) {
+        return Error("duplicate object key \"" + std::string(key_view) +
+                     "\"");
       }
       SkipSpace();
       if (!Consume(':')) return Error("expected ':'");
@@ -173,6 +174,35 @@ class ArenaJsonParser {
       if (Consume('}')) return node;
       return Error("expected ',' or '}'");
     }
+  }
+
+  /// Whether `key` repeats a member already linked under `object`.
+  bool IsDuplicateKey(uint32_t object, std::string_view key) {
+    const JsonDoc::Node& obj = doc_.nodes_[object];
+    if (obj.child_count < kLinearKeyScanMax) {
+      for (uint32_t c = obj.first_child; c != kNone;
+           c = doc_.nodes_[c].next_sibling) {
+        if (doc_.ViewOf(doc_.nodes_[c].key) == key) return true;
+      }
+      return false;
+    }
+    if (obj.child_count == kLinearKeyScanMax) {  // outgrew the scan
+      for (uint32_t c = obj.first_child; c != kNone;
+           c = doc_.nodes_[c].next_sibling) {
+        large_object_keys_.insert(
+            ObjectKey(object, doc_.ViewOf(doc_.nodes_[c].key)));
+      }
+    }
+    return !large_object_keys_.insert(ObjectKey(object, key)).second;
+  }
+
+  /// `key` tagged with its object's node index, so one set serves every
+  /// large object of the document.
+  static std::string ObjectKey(uint32_t object, std::string_view key) {
+    std::string tagged(reinterpret_cast<const char*>(&object),
+                       sizeof(object));
+    tagged.append(key);
+    return tagged;
   }
 
   common::Result<uint32_t> ParseArray(int depth) {
@@ -217,7 +247,7 @@ class ArenaJsonParser {
     }
     if (pos_ >= text_.size()) return Error("unterminated string");
     // Slow path: copy the clean prefix into the arena, then decode
-    // escapes with the legacy parser's exact validation.
+    // escapes with the tree parser's exact validation.
     const uint32_t arena_start = static_cast<uint32_t>(doc_.arena_.size());
     doc_.arena_.append(text_.data() + start, pos_ - start);
     while (true) {
@@ -361,7 +391,7 @@ class ArenaJsonParser {
       }
     }
     // strtod needs NUL termination; the token is short, so a stack copy
-    // beats allocating the std::string the legacy parser built.
+    // beats allocating the std::string the tree parser builds.
     char buf[64];
     const size_t len = pos_ - start;
     double v = 0.0;
@@ -382,6 +412,9 @@ class ArenaJsonParser {
   std::string_view text_;
   size_t pos_ = 0;
   JsonDoc doc_;
+  /// Keys of the objects that outgrew the linear duplicate scan, as
+  /// owned copies (escaped keys live in the arena, which may reallocate).
+  std::unordered_set<std::string> large_object_keys_;
 };
 
 common::Result<JsonDoc> JsonDoc::Parse(std::string_view text) {

@@ -10,21 +10,22 @@
 
 namespace lightor::net {
 
-/// Arena-parsed JSON document: the zero-copy decode path of the wire
-/// codec. Where `Json::Parse` builds a tree of heap nodes (a vector of
-/// pair<std::string, Json> per object, a std::string per string), a
-/// JsonDoc is one flat node vector plus one byte arena:
+/// Arena-parsed JSON document: the one JSON parser of the service — the
+/// wire codec, the router's routing key, membership and the fleet
+/// metrics scrape all decode through it. Where a tree parser builds heap
+/// nodes (a vector of pair<std::string, value> per object, a std::string
+/// per string), a JsonDoc is one flat node vector plus one byte arena:
 ///
 ///   * Strings and keys without escapes are string_views into the input
 ///     (the connection's parse buffer) — zero bytes copied.
 ///   * Escaped strings are decoded once into the doc-owned arena.
 ///   * Structure is first_child/next_sibling index links, so an object
-///     with k members costs k contiguous nodes, not k string + Json pairs.
+///     with k members costs k contiguous nodes, not k string + value pairs.
 ///
-/// Strictness is identical to Json::Parse — whole-input parse, duplicate
-/// object keys rejected, nesting capped, numbers finite, and the same
-/// "json: <what> at byte <pos>" error strings — so swapping a decoder
-/// onto JsonDoc changes no observable behavior.
+/// Strict: whole-input parse, duplicate object keys rejected (in time
+/// linear in the member count), nesting capped, numbers finite, and
+/// "json: <what> at byte <pos>" error strings — identical to the frozen
+/// tree parser in src/testing that the tests hold it against.
 ///
 /// Lifetime: the input buffer must outlive the doc (request bodies live
 /// in the RequestParser buffer, which the server keeps stable while a

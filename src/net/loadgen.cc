@@ -10,8 +10,9 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "common/strings.h"
 #include "net/codec.h"
-#include "net/json.h"
+#include "net/json_arena.h"
 #include "obs/trace_context.h"
 #include "serving/highlight_server.h"
 #include "sim/bridge.h"
@@ -26,6 +27,14 @@ using Clock = std::chrono::steady_clock;
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+/// The /refine request body: {"video_id":...}.
+std::string RefineBody(std::string_view video_id) {
+  std::string body = "{\"video_id\":";
+  common::AppendJsonString(video_id, body);
+  body += '}';
+  return body;
 }
 
 enum class Op { kVisit, kSession, kRefine, kIngest };
@@ -231,9 +240,7 @@ class Worker {
 
   void DoRefine() {
     ++result_.refines;
-    Json body = Json::MakeObject();
-    body.Set("video_id", Json::Str(PickRecorded()));
-    Send("refine", "POST", "/refine", body.Dump());
+    Send("refine", "POST", "/refine", RefineBody(PickRecorded()));
   }
 
   void DoIngest() {
@@ -508,36 +515,36 @@ common::Result<double> SettleAndScrapeStaleness(
           "loadgen: /debug/channels returned " +
           std::to_string(response.value().status));
     }
-    auto parsed = Json::Parse(response.value().body);
+    auto parsed = JsonDoc::Parse(response.value().body);
     if (!parsed.ok()) return parsed.status();
-    const Json* channels = parsed.value().Find("channels");
-    if (channels == nullptr || !channels->is_array()) {
+    const JsonDoc::Ref channels = parsed.value().root().Find("channels");
+    if (!channels || !channels.is_array()) {
       return common::Status::Internal(
           "loadgen: /debug/channels missing \"channels\" array");
     }
     staleness_ms.clear();
     settled = true;
-    for (const Json& entry : channels->AsArray()) {
-      const Json* id = entry.Find("video_id");
-      if (id == nullptr || !id->is_string() ||
-          id->AsString().rfind("flash-cold-", 0) != 0) {
+    for (JsonDoc::Ref entry = channels.first_child(); entry;
+         entry = entry.next_sibling()) {
+      const JsonDoc::Ref id = entry.Find("video_id");
+      if (!id || !id.is_string() ||
+          !id.AsString().starts_with("flash-cold-")) {
         continue;  // the hot channel's staleness is not the SLO's
       }
-      const Json* admitted = entry.Find("admitted_messages");
-      const Json* queued = entry.Find("queued_messages");
-      const Json* publishes = entry.Find("publishes");
-      const Json* max_staleness = entry.Find("max_staleness_seconds");
-      if (admitted == nullptr || queued == nullptr || publishes == nullptr ||
-          max_staleness == nullptr) {
+      const JsonDoc::Ref admitted = entry.Find("admitted_messages");
+      const JsonDoc::Ref queued = entry.Find("queued_messages");
+      const JsonDoc::Ref publishes = entry.Find("publishes");
+      const JsonDoc::Ref max_staleness = entry.Find("max_staleness_seconds");
+      if (!admitted || !queued || !publishes || !max_staleness) {
         return common::Status::Internal(
             "loadgen: /debug/channels entry missing fields");
       }
-      if (admitted->AsNumber() <= 0.0) continue;  // nothing ever landed
-      if (queued->AsNumber() > 0.0 || publishes->AsNumber() <= 0.0) {
+      if (admitted.AsNumber() <= 0.0) continue;  // nothing ever landed
+      if (queued.AsNumber() > 0.0 || publishes.AsNumber() <= 0.0) {
         settled = false;
         break;
       }
-      staleness_ms.push_back(max_staleness->AsNumber() * 1000.0);
+      staleness_ms.push_back(max_staleness.AsNumber() * 1000.0);
     }
     if (settled || MsSince(start) / 1000.0 >= settle_seconds) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -768,69 +775,90 @@ common::Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options,
 }
 
 std::string EncodeJson(const LoadGenReport& report) {
-  Json out = Json::MakeObject();
-  out.Set("requests", Json::Int(static_cast<int64_t>(report.requests)));
-  out.Set("wire_errors",
-          Json::Int(static_cast<int64_t>(report.wire_errors)));
-  out.Set("status_2xx", Json::Int(static_cast<int64_t>(report.status_2xx)));
-  out.Set("status_4xx", Json::Int(static_cast<int64_t>(report.status_4xx)));
-  out.Set("status_5xx", Json::Int(static_cast<int64_t>(report.status_5xx)));
-  out.Set("rejected_503",
-          Json::Int(static_cast<int64_t>(report.rejected_503)));
-  out.Set("throttled_429",
-          Json::Int(static_cast<int64_t>(report.throttled_429)));
-  out.Set("flash_cold_failures",
-          Json::Int(static_cast<int64_t>(report.flash_cold_failures)));
-  out.Set("retries", Json::Int(static_cast<int64_t>(report.retries)));
-  Json ops = Json::MakeObject();
-  ops.Set("visit", Json::Int(static_cast<int64_t>(report.visits)));
-  ops.Set("session", Json::Int(static_cast<int64_t>(report.sessions)));
-  ops.Set("refine", Json::Int(static_cast<int64_t>(report.refines)));
-  ops.Set("ingest", Json::Int(static_cast<int64_t>(report.ingests)));
-  ops.Set("finalize", Json::Int(static_cast<int64_t>(report.finalizes)));
-  out.Set("ops", std::move(ops));
-  out.Set("seconds", Json::Number(report.seconds));
-  out.Set("throughput_rps", Json::Number(report.throughput_rps));
-  Json latency = Json::MakeObject();
-  latency.Set("p50_ms", Json::Number(report.p50_ms));
-  latency.Set("p95_ms", Json::Number(report.p95_ms));
-  latency.Set("p99_ms", Json::Number(report.p99_ms));
-  latency.Set("max_ms", Json::Number(report.max_ms));
-  out.Set("latency", std::move(latency));
-  out.Set("provisional_p99_ms", Json::Number(report.provisional_p99_ms));
-  Json slowest = Json::MakeArray();
-  for (const SlowRequest& row : report.slowest) {
-    Json entry = Json::MakeObject();
-    entry.Set("ms", Json::Number(row.ms));
-    entry.Set("op", Json::Str(row.op));
-    entry.Set("trace_id", Json::Str(row.trace_id));
-    entry.Set("status", Json::Int(row.status));
-    slowest.Append(std::move(entry));
+  using common::AppendJsonNumber;
+  using common::AppendJsonString;
+  std::string out = "{\"requests\":";
+  AppendJsonNumber(report.requests, out);
+  out += ",\"wire_errors\":";
+  AppendJsonNumber(report.wire_errors, out);
+  out += ",\"status_2xx\":";
+  AppendJsonNumber(report.status_2xx, out);
+  out += ",\"status_4xx\":";
+  AppendJsonNumber(report.status_4xx, out);
+  out += ",\"status_5xx\":";
+  AppendJsonNumber(report.status_5xx, out);
+  out += ",\"rejected_503\":";
+  AppendJsonNumber(report.rejected_503, out);
+  out += ",\"throttled_429\":";
+  AppendJsonNumber(report.throttled_429, out);
+  out += ",\"flash_cold_failures\":";
+  AppendJsonNumber(report.flash_cold_failures, out);
+  out += ",\"retries\":";
+  AppendJsonNumber(report.retries, out);
+  out += ",\"ops\":{\"visit\":";
+  AppendJsonNumber(report.visits, out);
+  out += ",\"session\":";
+  AppendJsonNumber(report.sessions, out);
+  out += ",\"refine\":";
+  AppendJsonNumber(report.refines, out);
+  out += ",\"ingest\":";
+  AppendJsonNumber(report.ingests, out);
+  out += ",\"finalize\":";
+  AppendJsonNumber(report.finalizes, out);
+  out += "},\"seconds\":";
+  AppendJsonNumber(report.seconds, out);
+  out += ",\"throughput_rps\":";
+  AppendJsonNumber(report.throughput_rps, out);
+  out += ",\"latency\":{\"p50_ms\":";
+  AppendJsonNumber(report.p50_ms, out);
+  out += ",\"p95_ms\":";
+  AppendJsonNumber(report.p95_ms, out);
+  out += ",\"p99_ms\":";
+  AppendJsonNumber(report.p99_ms, out);
+  out += ",\"max_ms\":";
+  AppendJsonNumber(report.max_ms, out);
+  out += "},\"provisional_p99_ms\":";
+  AppendJsonNumber(report.provisional_p99_ms, out);
+  out += ",\"slowest\":[";
+  for (size_t i = 0; i < report.slowest.size(); ++i) {
+    const SlowRequest& row = report.slowest[i];
+    out += i == 0 ? "{\"ms\":" : ",{\"ms\":";
+    AppendJsonNumber(row.ms, out);
+    out += ",\"op\":";
+    AppendJsonString(row.op, out);
+    out += ",\"trace_id\":";
+    AppendJsonString(row.trace_id, out);
+    out += ",\"status\":";
+    AppendJsonNumber(row.status, out);
+    out += '}';
   }
-  out.Set("slowest", std::move(slowest));
-  Json op_latency = Json::MakeObject();
-  for (const OpLatency& lat : report.op_latency) {
-    Json entry = Json::MakeObject();
-    entry.Set("count", Json::Int(static_cast<int64_t>(lat.count)));
-    entry.Set("p50_ms", Json::Number(lat.p50_ms));
-    entry.Set("p99_ms", Json::Number(lat.p99_ms));
-    op_latency.Set(lat.op, std::move(entry));
+  out += "],\"op_latency\":{";
+  for (size_t i = 0; i < report.op_latency.size(); ++i) {
+    const OpLatency& lat = report.op_latency[i];
+    if (i > 0) out += ',';
+    AppendJsonString(lat.op, out);
+    out += ":{\"count\":";
+    AppendJsonNumber(lat.count, out);
+    out += ",\"p50_ms\":";
+    AppendJsonNumber(lat.p50_ms, out);
+    out += ",\"p99_ms\":";
+    AppendJsonNumber(lat.p99_ms, out);
+    out += '}';
   }
-  out.Set("op_latency", std::move(op_latency));
-  Json slo = Json::MakeObject();
-  slo.Set("ok", Json::Bool(report.slo_ok));
-  Json targets = Json::MakeArray();
-  for (const SloResult& verdict : report.slo) {
-    Json entry = Json::MakeObject();
-    entry.Set("op", Json::Str(verdict.op));
-    entry.Set("target_p99_ms", Json::Number(verdict.target_p99_ms));
-    entry.Set("actual_p99_ms", Json::Number(verdict.actual_p99_ms));
-    entry.Set("ok", Json::Bool(verdict.ok));
-    targets.Append(std::move(entry));
+  out += report.slo_ok ? "},\"slo\":{\"ok\":true,\"targets\":["
+                       : "},\"slo\":{\"ok\":false,\"targets\":[";
+  for (size_t i = 0; i < report.slo.size(); ++i) {
+    const SloResult& verdict = report.slo[i];
+    out += i == 0 ? "{\"op\":" : ",{\"op\":";
+    AppendJsonString(verdict.op, out);
+    out += ",\"target_p99_ms\":";
+    AppendJsonNumber(verdict.target_p99_ms, out);
+    out += ",\"actual_p99_ms\":";
+    AppendJsonNumber(verdict.actual_p99_ms, out);
+    out += verdict.ok ? ",\"ok\":true}" : ",\"ok\":false}";
   }
-  slo.Set("targets", std::move(targets));
-  out.Set("slo", std::move(slo));
-  return out.Dump();
+  out += "]}}";
+  return out;
 }
 
 common::Status RunDifferentialCheck(const RecordedTraffic& recorded,
@@ -870,9 +898,7 @@ common::Status RunDifferentialCheck(const RecordedTraffic& recorded,
   // One refinement pass per visited video on both sides; the reports
   // themselves must already agree byte-for-byte.
   for (const std::string& video_id : visited) {
-    Json body = Json::MakeObject();
-    body.Set("video_id", Json::Str(video_id));
-    auto over_wire = served.Post("/refine", body.Dump());
+    auto over_wire = served.Post("/refine", RefineBody(video_id));
     if (!over_wire.ok()) return over_wire.status();
     if (over_wire.value().status != 200) {
       return common::Status::Internal(

@@ -8,8 +8,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/strings.h"
 #include "net/codec.h"
-#include "net/json.h"
+#include "net/json_arena.h"
 #include "obs/request_log.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
@@ -158,15 +159,15 @@ Router BuildRoutes(serving::HighlightServer* server, RouteOptions options) {
   });
 
   router.Handle("POST", "/refine", [server](const HttpRequest& request) {
-    auto parsed = Json::Parse(request.body);
+    auto parsed = JsonDoc::Parse(request.body);
     if (!parsed.ok()) {
       return ErrorResponse(400, parsed.status().ToString());
     }
-    const Json* video_id = parsed.value().Find("video_id");
-    if (video_id == nullptr || !video_id->is_string()) {
+    const JsonDoc::Ref video_id = parsed.value().root().Find("video_id");
+    if (!video_id || !video_id.is_string()) {
       return ErrorResponse(400, "refine: missing string field \"video_id\"");
     }
-    auto report = server->Refine(video_id->AsString());
+    auto report = server->Refine(std::string(video_id.AsString()));
     if (!report.ok()) return FromStatus(report.status());
     return JsonResponse(200, EncodeJson(report.value()));
   });
@@ -326,30 +327,30 @@ Router BuildRoutes(serving::HighlightServer* server, RouteOptions options) {
   // while operators (and the flash-crowd loadgen SLO gate) read exact
   // per-channel queues and staleness here.
   router.Handle("GET", "/debug/channels", [server](const HttpRequest&) {
-    Json array = Json::MakeArray();
-    for (const auto& channel : server->ChannelsSnapshot()) {
-      Json entry = Json::MakeObject();
-      entry.Set("video_id", Json::Str(channel.video_id));
-      entry.Set("queued_messages", Json::Int(static_cast<int64_t>(
-                                       channel.queued_messages)));
-      entry.Set("admitted_messages", Json::Int(static_cast<int64_t>(
-                                         channel.admitted_messages)));
-      entry.Set("throttled_batches", Json::Int(static_cast<int64_t>(
-                                         channel.throttled_batches)));
-      entry.Set("rejected_messages", Json::Int(static_cast<int64_t>(
-                                         channel.rejected_messages)));
-      entry.Set("publishes",
-                Json::Int(static_cast<int64_t>(channel.publishes)));
-      entry.Set("last_staleness_seconds",
-                Json::Number(channel.last_staleness_seconds));
-      entry.Set("max_staleness_seconds",
-                Json::Number(channel.max_staleness_seconds));
-      entry.Set("closed", Json::Bool(channel.closed));
-      array.Append(std::move(entry));
+    const auto channels = server->ChannelsSnapshot();
+    std::string body = "{\"channels\":[";
+    for (size_t i = 0; i < channels.size(); ++i) {
+      const auto& channel = channels[i];
+      body += i == 0 ? "{\"video_id\":" : ",{\"video_id\":";
+      common::AppendJsonString(channel.video_id, body);
+      body += ",\"queued_messages\":";
+      common::AppendJsonNumber(channel.queued_messages, body);
+      body += ",\"admitted_messages\":";
+      common::AppendJsonNumber(channel.admitted_messages, body);
+      body += ",\"throttled_batches\":";
+      common::AppendJsonNumber(channel.throttled_batches, body);
+      body += ",\"rejected_messages\":";
+      common::AppendJsonNumber(channel.rejected_messages, body);
+      body += ",\"publishes\":";
+      common::AppendJsonNumber(channel.publishes, body);
+      body += ",\"last_staleness_seconds\":";
+      common::AppendJsonNumber(channel.last_staleness_seconds, body);
+      body += ",\"max_staleness_seconds\":";
+      common::AppendJsonNumber(channel.max_staleness_seconds, body);
+      body += channel.closed ? ",\"closed\":true}" : ",\"closed\":false}";
     }
-    Json root = Json::MakeObject();
-    root.Set("channels", std::move(array));
-    return JsonResponse(200, root.Dump());
+    body += "]}";
+    return JsonResponse(200, std::move(body));
   });
 
   return router;

@@ -7,6 +7,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/strings.h"
+
 namespace lightor::obs {
 
 namespace {
@@ -82,48 +84,19 @@ void EmitTypeOnce(std::ostringstream& out, std::set<std::string>& typed,
   }
 }
 
-std::string JsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// Opens one JSON series object: `{"name":...,"labels":{...}`.
+void AppendJsonSeries(const std::string& name, const LabelList& labels,
+                      std::string& out) {
+  out += "{\"name\":";
+  common::AppendJsonString(name, out);
+  out += ",\"labels\":{";
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (i > 0) out += ',';
+    common::AppendJsonString(labels[i].first, out);
+    out += ':';
+    common::AppendJsonString(labels[i].second, out);
   }
-  return out;
-}
-
-void EmitJsonLabels(std::ostringstream& out, const LabelList& labels) {
-  out << '{';
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << JsonEscape(k) << "\":\"" << JsonEscape(v) << '"';
-  }
-  out << '}';
+  out += '}';
 }
 
 }  // namespace
@@ -165,41 +138,38 @@ std::string ExportPrometheus(const Registry& registry) {
 }
 
 std::string ExportJson(const RegistrySnapshot& snapshot) {
-  std::ostringstream out;
-  out << "{\"counters\":[";
+  std::string out = "{\"counters\":[";
   for (size_t i = 0; i < snapshot.counters.size(); ++i) {
     const auto& c = snapshot.counters[i];
-    if (i) out << ',';
-    out << "{\"name\":\"" << JsonEscape(c.name) << "\",\"labels\":";
-    EmitJsonLabels(out, c.labels);
-    out << ",\"value\":" << c.value << '}';
+    if (i) out += ',';
+    AppendJsonSeries(c.name, c.labels, out);
+    out += ",\"value\":" + std::to_string(c.value) + '}';
   }
-  out << "],\"gauges\":[";
+  out += "],\"gauges\":[";
   for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
     const auto& g = snapshot.gauges[i];
-    if (i) out << ',';
-    out << "{\"name\":\"" << JsonEscape(g.name) << "\",\"labels\":";
-    EmitJsonLabels(out, g.labels);
-    out << ",\"value\":" << FormatDouble(g.value) << '}';
+    if (i) out += ',';
+    AppendJsonSeries(g.name, g.labels, out);
+    out += ",\"value\":" + FormatDouble(g.value) + '}';
   }
-  out << "],\"histograms\":[";
+  out += "],\"histograms\":[";
   for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const auto& h = snapshot.histograms[i];
-    if (i) out << ',';
-    out << "{\"name\":\"" << JsonEscape(h.name) << "\",\"labels\":";
-    EmitJsonLabels(out, h.labels);
-    out << ",\"buckets\":[";
+    if (i) out += ',';
+    AppendJsonSeries(h.name, h.labels, out);
+    out += ",\"buckets\":[";
     for (size_t b = 0; b < h.bucket_counts.size(); ++b) {
-      if (b) out << ',';
+      if (b) out += ',';
       const std::string le =
           b < h.bounds.size() ? FormatDouble(h.bounds[b]) : "\"+Inf\"";
-      out << "{\"le\":" << le << ",\"count\":" << h.bucket_counts[b] << '}';
+      out += "{\"le\":" + le +
+             ",\"count\":" + std::to_string(h.bucket_counts[b]) + '}';
     }
-    out << "],\"sum\":" << FormatDouble(h.sum) << ",\"count\":" << h.count
-        << '}';
+    out += "],\"sum\":" + FormatDouble(h.sum) +
+           ",\"count\":" + std::to_string(h.count) + '}';
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 std::string ExportJson(const Registry& registry) {

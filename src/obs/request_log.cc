@@ -3,26 +3,12 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/strings.h"
 #include "obs/metrics.h"
 
 namespace lightor::obs {
 
 namespace {
-
-void AppendJsonString(const std::string& value, std::string& out) {
-  out += '"';
-  for (char c : value) {
-    if (c == '\\' || c == '"') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
 
 // CSV fields here are ids, route labels, and numbers — no embedded
 // commas or quotes in practice — but quote defensively anyway.
@@ -99,9 +85,9 @@ std::string EncodeWideEventJson(const WideEvent& event) {
   out += "\",\"parent_span_id\":\"";
   out += FormatSpanId(event.parent_span_id);
   out += "\",\"route\":";
-  AppendJsonString(event.route, out);
+  common::AppendJsonString(event.route, out);
   out += ",\"method\":";
-  AppendJsonString(event.method, out);
+  common::AppendJsonString(event.method, out);
   out += ",\"status\":" + std::to_string(event.status);
   out += ",\"bytes_in\":" + std::to_string(event.bytes_in);
   out += ",\"bytes_out\":" + std::to_string(event.bytes_out);
@@ -118,7 +104,7 @@ std::string EncodeWideEventJson(const WideEvent& event) {
          (event.sampled_in ? "true" : "false");
   out += std::string(",\"kept\":") + (event.kept ? "true" : "false");
   out += ",\"keep_reason\":";
-  AppendJsonString(event.keep_reason, out);
+  common::AppendJsonString(event.keep_reason, out);
   out += "}";
   return out;
 }

@@ -1,8 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <sstream>
 
+#include "common/strings.h"
 #include "obs/export.h"
 #include "obs/trace_context.h"
 
@@ -16,22 +16,6 @@ thread_local uint32_t t_span_depth = 0;
 
 const std::chrono::steady_clock::time_point g_process_start =
     std::chrono::steady_clock::now();
-
-std::string JsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    if (c == '\\' || c == '"') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -149,25 +133,28 @@ void TraceRecorder::SetCapacity(size_t capacity) {
 }
 
 std::string ChromeTraceJson(const std::vector<TraceEvent>& events) {
-  std::ostringstream out;
-  out << "[";
+  std::string out = "[";
   for (size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& ev = events[i];
-    if (i) out << ",\n";
-    out << "{\"name\":\"" << JsonEscape(ev.name) << "\",\"cat\":\""
-        << JsonEscape(ev.category) << "\",\"ph\":\"X\",\"ts\":" << ev.start_us
-        << ",\"dur\":" << ev.duration_us << ",\"pid\":1,\"tid\":"
-        << ev.thread_id << ",\"args\":{\"depth\":" << ev.depth;
+    if (i) out += ",\n";
+    out += "{\"name\":";
+    common::AppendJsonString(ev.name, out);
+    out += ",\"cat\":";
+    common::AppendJsonString(ev.category, out);
+    out += ",\"ph\":\"X\",\"ts\":" + std::to_string(ev.start_us) +
+           ",\"dur\":" + std::to_string(ev.duration_us) +
+           ",\"pid\":1,\"tid\":" + std::to_string(ev.thread_id) +
+           ",\"args\":{\"depth\":" + std::to_string(ev.depth);
     if ((ev.trace_hi | ev.trace_lo) != 0) {
-      out << ",\"trace_id\":\"" << FormatTraceId(ev.trace_hi, ev.trace_lo)
-          << "\",\"span_id\":\"" << FormatSpanId(ev.span_id)
-          << "\",\"parent_span_id\":\"" << FormatSpanId(ev.parent_span_id)
-          << "\"";
+      out += ",\"trace_id\":\"" + FormatTraceId(ev.trace_hi, ev.trace_lo) +
+             "\",\"span_id\":\"" + FormatSpanId(ev.span_id) +
+             "\",\"parent_span_id\":\"" + FormatSpanId(ev.parent_span_id) +
+             "\"";
     }
-    out << "}}";
+    out += "}}";
   }
-  out << "]\n";
-  return out.str();
+  out += "]\n";
+  return out;
 }
 
 std::string TraceRecorder::DumpChromeTrace() const {

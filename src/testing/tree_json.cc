@@ -1,48 +1,12 @@
-#include "net/json.h"
+#include "testing/tree_json.h"
 
-#include <cassert>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 
-namespace lightor::net {
+namespace lightor::testing {
 
-Json Json::Bool(bool v) {
-  Json j;
-  j.type_ = Type::kBool;
-  j.bool_ = v;
-  return j;
-}
-
-Json Json::Number(double v) {
-  Json j;
-  j.type_ = Type::kNumber;
-  j.number_ = v;
-  return j;
-}
-
-Json Json::Str(std::string v) {
-  Json j;
-  j.type_ = Type::kString;
-  j.string_ = std::move(v);
-  return j;
-}
-
-Json Json::MakeArray(Array items) {
-  Json j;
-  j.type_ = Type::kArray;
-  j.array_ = std::move(items);
-  return j;
-}
-
-Json Json::MakeObject(Object members) {
-  Json j;
-  j.type_ = Type::kObject;
-  j.object_ = std::move(members);
-  return j;
-}
-
-const Json* Json::Find(std::string_view key) const {
+const TreeJson* TreeJson::Find(std::string_view key) const {
   if (type_ != Type::kObject) return nullptr;
   for (const auto& [k, v] : object_) {
     if (k == key) return &v;
@@ -50,123 +14,12 @@ const Json* Json::Find(std::string_view key) const {
   return nullptr;
 }
 
-void Json::Append(Json item) {
-  assert(type_ == Type::kArray);
-  array_.push_back(std::move(item));
-}
-
-void Json::Set(std::string key, Json value) {
-  assert(type_ == Type::kObject);
-  object_.emplace_back(std::move(key), std::move(value));
-}
-
-void AppendJsonString(std::string_view s, std::string& out) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);  // UTF-8 passes through byte-for-byte
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-namespace {
-
-void AppendNumber(double v, std::string& out) {
-  // Integral values within int64 range print exactly (ids, counts);
-  // everything else gets enough digits to round-trip a double.
-  if (v == std::floor(v) && std::abs(v) < 9.2e18) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    out += buf;
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-}  // namespace
-
-void Json::DumpTo(std::string& out) const {
-  switch (type_) {
-    case Type::kNull:
-      out += "null";
-      break;
-    case Type::kBool:
-      out += bool_ ? "true" : "false";
-      break;
-    case Type::kNumber:
-      AppendNumber(number_, out);
-      break;
-    case Type::kString:
-      AppendJsonString(string_, out);
-      break;
-    case Type::kArray: {
-      out.push_back('[');
-      for (size_t i = 0; i < array_.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        array_[i].DumpTo(out);
-      }
-      out.push_back(']');
-      break;
-    }
-    case Type::kObject: {
-      out.push_back('{');
-      for (size_t i = 0; i < object_.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        AppendJsonString(object_[i].first, out);
-        out.push_back(':');
-        object_[i].second.DumpTo(out);
-      }
-      out.push_back('}');
-      break;
-    }
-  }
-}
-
-std::string Json::Dump() const {
-  std::string out;
-  DumpTo(out);
-  return out;
-}
-
-namespace {
-
 /// Recursive-descent parser over a string_view with a byte cursor.
-class Parser {
+class TreeJsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit TreeJsonParser(std::string_view text) : text_(text) {}
 
-  common::Result<Json> Run() {
+  common::Result<TreeJson> Run() {
     SkipSpace();
     auto value = ParseValue(0);
     if (!value.ok()) return value.status();
@@ -179,6 +32,18 @@ class Parser {
 
  private:
   static constexpr int kMaxDepth = 64;
+
+  static TreeJson Make(TreeJson::Type type) {
+    TreeJson j;
+    j.type_ = type;
+    return j;
+  }
+
+  static TreeJson Bool(bool v) {
+    TreeJson j = Make(TreeJson::Type::kBool);
+    j.bool_ = v;
+    return j;
+  }
 
   common::Status Error(const std::string& what) const {
     return common::Status::InvalidArgument(
@@ -207,7 +72,7 @@ class Parser {
     return true;
   }
 
-  common::Result<Json> ParseValue(int depth) {
+  common::Result<TreeJson> ParseValue(int depth) {
     if (depth > kMaxDepth) return Error("nesting too deep");
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     switch (text_[pos_]) {
@@ -218,25 +83,27 @@ class Parser {
       case '"': {
         auto s = ParseString();
         if (!s.ok()) return s.status();
-        return Json::Str(std::move(s).value());
+        TreeJson str = Make(TreeJson::Type::kString);
+        str.string_ = std::move(s).value();
+        return str;
       }
       case 't':
-        if (ConsumeWord("true")) return Json::Bool(true);
+        if (ConsumeWord("true")) return Bool(true);
         return Error("bad literal");
       case 'f':
-        if (ConsumeWord("false")) return Json::Bool(false);
+        if (ConsumeWord("false")) return Bool(false);
         return Error("bad literal");
       case 'n':
-        if (ConsumeWord("null")) return Json::Null();
+        if (ConsumeWord("null")) return TreeJson();
         return Error("bad literal");
       default:
         return ParseNumber();
     }
   }
 
-  common::Result<Json> ParseObject(int depth) {
+  common::Result<TreeJson> ParseObject(int depth) {
     ++pos_;  // '{'
-    Json obj = Json::MakeObject();
+    TreeJson obj = Make(TreeJson::Type::kObject);
     SkipSpace();
     if (Consume('}')) return obj;
     while (true) {
@@ -252,7 +119,8 @@ class Parser {
       SkipSpace();
       auto value = ParseValue(depth + 1);
       if (!value.ok()) return value.status();
-      obj.Set(std::move(key).value(), std::move(value).value());
+      obj.object_.emplace_back(std::move(key).value(),
+                               std::move(value).value());
       SkipSpace();
       if (Consume(',')) continue;
       if (Consume('}')) return obj;
@@ -260,16 +128,16 @@ class Parser {
     }
   }
 
-  common::Result<Json> ParseArray(int depth) {
+  common::Result<TreeJson> ParseArray(int depth) {
     ++pos_;  // '['
-    Json arr = Json::MakeArray();
+    TreeJson arr = Make(TreeJson::Type::kArray);
     SkipSpace();
     if (Consume(']')) return arr;
     while (true) {
       SkipSpace();
       auto value = ParseValue(depth + 1);
       if (!value.ok()) return value.status();
-      arr.Append(std::move(value).value());
+      arr.array_.push_back(std::move(value).value());
       SkipSpace();
       if (Consume(',')) continue;
       if (Consume(']')) return arr;
@@ -381,7 +249,7 @@ class Parser {
     }
   }
 
-  common::Result<Json> ParseNumber() {
+  common::Result<TreeJson> ParseNumber() {
     const size_t start = pos_;
     if (Peek('-')) ++pos_;
     if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
@@ -419,17 +287,17 @@ class Parser {
     const std::string token(text_.substr(start, pos_ - start));
     const double v = std::strtod(token.c_str(), nullptr);
     if (!std::isfinite(v)) return Error("number out of range");
-    return Json::Number(v);
+    TreeJson number = Make(TreeJson::Type::kNumber);
+    number.number_ = v;
+    return number;
   }
 
   std::string_view text_;
   size_t pos_ = 0;
 };
 
-}  // namespace
-
-common::Result<Json> Json::Parse(std::string_view text) {
-  return Parser(text).Run();
+common::Result<TreeJson> TreeJson::Parse(std::string_view text) {
+  return TreeJsonParser(text).Run();
 }
 
-}  // namespace lightor::net
+}  // namespace lightor::testing

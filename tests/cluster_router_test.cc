@@ -344,6 +344,40 @@ TEST_F(ClusterRouterTest, MetricsAggregateFleetSeries) {
   b.http->Shutdown();
 }
 
+TEST(ParseMetricsJsonTest, RejectsCountsThatAreNotWholeUint64) {
+  // Counter values, bucket counts and histogram counts become uint64_t:
+  // a negative, fractional or >= 2^64 number fails the scrape instead of
+  // reaching an undefined cast.
+  const auto counter = [](const std::string& value) {
+    return "{\"counters\":[{\"name\":\"c\",\"value\":" + value + "}]}";
+  };
+  const auto histogram = [](const std::string& bucket,
+                            const std::string& count) {
+    return "{\"histograms\":[{\"name\":\"h\",\"buckets\":[{\"le\":1,"
+           "\"count\":" + bucket + "},{\"le\":\"+Inf\",\"count\":0}],"
+           "\"sum\":0.5,\"count\":" + count + "}]}";
+  };
+  auto ok = ParseMetricsJson(counter("18446744073709549568"));  // < 2^64
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.value().counters[0].value, 18446744073709549568u);
+  ASSERT_TRUE(ParseMetricsJson(histogram("3", "3")).ok());
+
+  for (const std::string bad : {"-1", "0.5", "1e20", "18446744073709551616"}) {
+    EXPECT_EQ(ParseMetricsJson(counter(bad)).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(ParseMetricsJson(histogram(bad, "3")).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(ParseMetricsJson(histogram("3", bad)).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(ParseMetricsJson(counter("-1")).status().ToString(),
+            "InvalidArgument: metrics json: \"value\" must be a whole number "
+            "in [0, 2^64)");
+}
+
 TEST_F(ClusterRouterTest, HealthCheckerTracksBackendStates) {
   Backend a = MakeBackend(dir_ + "/a");
   Backend b = MakeBackend(dir_ + "/b");

@@ -6,7 +6,7 @@
 #include "net/client.h"
 #include "net/codec.h"
 #include "net/http.h"
-#include "net/json.h"
+#include "net/json_arena.h"
 #include "net/server.h"
 #include "net/service.h"
 #include "test_stack.h"
@@ -550,22 +550,23 @@ TEST(IngestRouteTest, DebugChannelsReportsAccounting) {
   auto debug = client.Get("/debug/channels");
   ASSERT_TRUE(debug.ok()) << debug.status().ToString();
   ASSERT_EQ(debug.value().status, 200);
-  auto doc = Json::Parse(debug.value().body);
+  auto doc = JsonDoc::Parse(debug.value().body);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const Json* channels = doc.value().Find("channels");
-  ASSERT_NE(channels, nullptr);
-  ASSERT_TRUE(channels->is_array());
-  const Json* found = nullptr;
-  for (const Json& channel : channels->AsArray()) {
-    const Json* id = channel.Find("video_id");
-    ASSERT_NE(id, nullptr);
-    if (id->AsString() == "chan-dbg") found = &channel;
+  const JsonDoc::Ref channels = doc.value().root().Find("channels");
+  ASSERT_TRUE(channels);
+  ASSERT_TRUE(channels.is_array());
+  JsonDoc::Ref found;
+  for (JsonDoc::Ref channel = channels.first_child(); channel;
+       channel = channel.next_sibling()) {
+    const JsonDoc::Ref id = channel.Find("video_id");
+    ASSERT_TRUE(id);
+    if (id.AsString() == "chan-dbg") found = channel;
   }
-  ASSERT_NE(found, nullptr) << debug.value().body;
-  EXPECT_EQ(found->Find("admitted_messages")->AsNumber(), 3.0);
-  EXPECT_EQ(found->Find("queued_messages")->AsNumber(), 0.0);
-  EXPECT_EQ(found->Find("rejected_messages")->AsNumber(), 0.0);
-  EXPECT_FALSE(found->Find("closed")->AsBool());
+  ASSERT_TRUE(found) << debug.value().body;
+  EXPECT_EQ(found.Find("admitted_messages").AsNumber(), 3.0);
+  EXPECT_EQ(found.Find("queued_messages").AsNumber(), 0.0);
+  EXPECT_EQ(found.Find("rejected_messages").AsNumber(), 0.0);
+  EXPECT_FALSE(found.Find("closed").AsBool());
   server.value()->Shutdown();
 }
 
