@@ -266,18 +266,20 @@ fi
 
 # The storage engine and the fault-injection suite do the pointer- and
 # buffer-heavy work (log framing, torn-tail truncation, crash-point
-# enumeration), and the JSON decoders take untrusted bytes off the wire:
+# enumeration), the JSON decoders take untrusted bytes off the wire, and
+# the channel scheduler's deadline heap hands string ids across threads:
 # run their tests under AddressSanitizer + UBSan.
 if [ "${SKIP_ASAN:-0}" != "1" ]; then
-  echo "== address+ub sanitizer: storage + fault + recovery + json tests ($ASAN_BUILD_DIR) =="
+  echo "== address+ub sanitizer: storage + fault + recovery + json + fairness tests ($ASAN_BUILD_DIR) =="
   cmake -B "$ASAN_BUILD_DIR" -S . -DLIGHTOR_SANITIZE=address,undefined \
       >/dev/null
   cmake --build "$ASAN_BUILD_DIR" -j --target \
       storage_serialize_test storage_log_test storage_stores_test \
       storage_database_test storage_compaction_test \
       storage_webservice_test storage_faults_test storage_checkpoint_test \
-      serving_recovery_test property_test hotpath_diff_test net_json_test
+      serving_recovery_test serving_fairness_test property_test \
+      hotpath_diff_test net_json_test
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
-      -R '^(storage_|serving_recovery|property|hotpath_diff|net_json)'
+      -R '^(storage_|serving_recovery|serving_fairness|property|hotpath_diff|net_json)'
 fi
 echo "ci: OK"

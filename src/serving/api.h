@@ -81,10 +81,12 @@ struct ServerOptions {
   size_t ingest_queue_messages = 8192;
   /// DRR quantum: messages drained per channel per scheduler visit.
   size_t ingest_quantum_messages = 256;
-  /// Async mode: publish a provisional snapshot for a channel whose
-  /// oldest unpublished message is older than this, even below the
-  /// refresh threshold — bounds cold-channel staleness. 0 disables the
-  /// age trigger (threshold-only publishes, the synchronous behavior).
+  /// Async mode only (requires `ingest_workers > 0`): a deadline for
+  /// provisional dots. When a drain leaves a channel with unpublished
+  /// messages, the scheduler arms a deadline at the oldest one's
+  /// admission time plus this delay, and its workers publish the channel
+  /// when it comes due, even below the refresh threshold and with no
+  /// further traffic. 0 disables it (threshold-only publishes).
   double stream_publish_max_delay_seconds = 0.0;
   /// Test seam: monotonic clock (seconds) for admission budgets and
   /// staleness accounting. Null uses the steady clock.
@@ -146,6 +148,10 @@ struct ServerOptions {
     if (stream_publish_max_delay_seconds < 0.0)
       return common::Status::InvalidArgument(
           "ServerOptions: negative stream_publish_max_delay_seconds");
+    if (stream_publish_max_delay_seconds > 0.0 && ingest_workers == 0)
+      return common::Status::InvalidArgument(
+          "ServerOptions: stream_publish_max_delay_seconds needs ingest "
+          "workers to keep it");
     return common::Status::OK();
   }
 };

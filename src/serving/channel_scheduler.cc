@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "serving/metrics.h"
@@ -35,15 +36,11 @@ common::Status ChannelScheduler::Options::Validate() const {
     return common::Status::InvalidArgument(
         "ChannelScheduler: quantum_messages == 0 with drain workers");
   }
-  if (idle_scan_seconds < 0.0) {
-    return common::Status::InvalidArgument(
-        "ChannelScheduler: negative idle_scan_seconds");
-  }
   return common::Status::OK();
 }
 
 common::Result<std::unique_ptr<ChannelScheduler>> ChannelScheduler::Create(
-    Options options, DrainFn drain, IdleFn idle) {
+    Options options, DrainFn drain, PublishFn publish) {
   LIGHTOR_RETURN_IF_ERROR(options.Validate());
   if (options.num_workers > 0 && drain == nullptr) {
     return common::Status::InvalidArgument(
@@ -52,14 +49,14 @@ common::Result<std::unique_ptr<ChannelScheduler>> ChannelScheduler::Create(
   if (options.clock == nullptr) options.clock = SteadyNowSeconds;
   return std::unique_ptr<ChannelScheduler>(
       new ChannelScheduler(std::move(options), std::move(drain),
-                           std::move(idle)));
+                           std::move(publish)));
 }
 
-ChannelScheduler::ChannelScheduler(Options options, DrainFn drain, IdleFn idle)
+ChannelScheduler::ChannelScheduler(Options options, DrainFn drain,
+                                   PublishFn publish)
     : options_(std::move(options)),
       drain_(std::move(drain)),
-      idle_(std::move(idle)) {
-  last_idle_scan_ = Now();
+      publish_(std::move(publish)) {
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -176,10 +173,26 @@ ChannelScheduler::Admission ChannelScheduler::Offer(
   return result;
 }
 
+void ChannelScheduler::ArmDeadline(const std::string& video_id,
+                                   double deadline_seconds) {
+  std::lock_guard<std::mutex> lk(mu_);
+  Channel& ch = channels_[video_id];
+  if (ch.deadline_armed && ch.deadline_seconds <= deadline_seconds) return;
+  ch.deadline_armed = true;
+  ch.deadline_seconds = deadline_seconds;
+  // A new earliest deadline: an idle worker sleeping toward a later one
+  // (or toward none) must re-plan its wait.
+  const bool earliest =
+      deadlines_.empty() || deadline_seconds < deadlines_.top().seconds;
+  deadlines_.push({deadline_seconds, video_id});
+  if (earliest) work_cv_.notify_one();
+}
+
 void ChannelScheduler::RecordPublish(const std::string& video_id,
                                      double staleness_seconds) {
   std::lock_guard<std::mutex> lk(mu_);
   Channel& ch = channels_[video_id];
+  ch.deadline_armed = false;
   ++ch.publishes;
   ch.last_staleness_seconds = staleness_seconds;
   ch.max_staleness_seconds =
@@ -269,27 +282,56 @@ size_t ChannelScheduler::TotalQueuedMessages() const {
   return total_queued_;
 }
 
+bool ChannelScheduler::PopDueDeadline(std::string* video_id) {
+  if (deadlines_.empty()) return false;
+  const double now = Now();
+  while (!deadlines_.empty()) {
+    const Deadline& top = deadlines_.top();
+    const auto it = channels_.find(top.video_id);
+    const bool live = it != channels_.end() && it->second.deadline_armed &&
+                      it->second.deadline_seconds == top.seconds;
+    if (live) {
+      if (now < top.seconds) return false;
+      it->second.deadline_armed = false;
+      *video_id = top.video_id;
+      deadlines_.pop();
+      return true;
+    }
+    deadlines_.pop();  // superseded by a publish or an earlier deadline
+  }
+  return false;
+}
+
 void ChannelScheduler::WorkerLoop() {
   std::unique_lock<std::mutex> lk(mu_);
+  std::string due;
   for (;;) {
+    // A due deadline goes ahead of the next DRR visit, so a hot
+    // channel's backlog cannot delay a cold channel's publish.
+    if (PopDueDeadline(&due)) {
+      lk.unlock();
+      if (publish_ != nullptr) publish_(due);
+      lk.lock();
+      continue;
+    }
     if (active_.empty()) {
       // Workers exit only once every queue is drained, so acked
       // messages reach their engines before Shutdown returns.
       if (stop_) return;
-      if (idle_ != nullptr && options_.idle_scan_seconds > 0.0) {
-        work_cv_.wait_for(
-            lk, std::chrono::duration<double>(options_.idle_scan_seconds));
-        if (stop_ && active_.empty()) return;
-        const double now = Now();
-        if (active_.empty() && now - last_idle_scan_ >=
-                                   options_.idle_scan_seconds) {
-          last_idle_scan_ = now;
-          lk.unlock();
-          idle_();
-          lk.lock();
-        }
+      // Sleep until work arrives, an earlier deadline is armed, or the
+      // earliest one comes due.
+      const double next = deadlines_.empty()
+                              ? std::numeric_limits<double>::infinity()
+                              : deadlines_.top().seconds;
+      const auto woken = [&] {
+        return stop_ || !active_.empty() ||
+               (!deadlines_.empty() && deadlines_.top().seconds < next);
+      };
+      if (deadlines_.empty()) {
+        work_cv_.wait(lk, woken);
       } else {
-        work_cv_.wait(lk, [&] { return stop_ || !active_.empty(); });
+        work_cv_.wait_for(lk, std::chrono::duration<double>(next - Now()),
+                          woken);
       }
       continue;
     }

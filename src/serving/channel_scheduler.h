@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -18,7 +19,7 @@
 namespace lightor::serving {
 
 /// Per-channel admission + fair-share drain tier in front of the shard
-/// engines — the live-at-scale half of the serving layer. Two concerns,
+/// engines — the live-at-scale half of the serving layer. Three concerns,
 /// one per-channel bookkeeping map:
 ///
 ///   * **Admission budgets.** Each channel owns a token bucket
@@ -38,18 +39,27 @@ namespace lightor::serving {
 ///     hot channel's backlog cannot starve cold channels: a cold
 ///     channel's queue delay is bounded by (active channels × quantum),
 ///     independent of how deep the hot queue is.
+///   * **Publish deadlines.** The server arms a deadline for a channel
+///     whose drain left messages unpublished (`ArmDeadline`). A min-heap
+///     keeps one live deadline per channel; workers check its top before
+///     every DRR visit and, when idle, sleep until it rather than on a
+///     fixed period, so a quiet channel next to a hot one is published
+///     within the bound instead of at the next global lull.
 ///
-/// The scheduler owns queues and budgets only; it never touches engines.
-/// The server supplies a `DrainFn` that feeds a channel's batches into
-/// its shard engine (taking the shard lock itself), and reports
-/// provisional publishes back via `RecordPublish` so per-channel
-/// staleness shows up in `Snapshot()` / the `/debug/channels` endpoint.
+/// The scheduler owns queues, budgets and deadlines only; it never
+/// touches engines. The server supplies a `DrainFn` that feeds a
+/// channel's batches into its shard engine and a `PublishFn` that
+/// publishes a channel whose deadline came due (both take the shard lock
+/// themselves), and reports every provisional publish back via
+/// `RecordPublish`, which disarms the channel's deadline and feeds the
+/// staleness columns of `Snapshot()` / the `/debug/channels` endpoint.
 ///
-/// Lock ordering: callers may invoke `Admit`/`Offer` (which take the
-/// scheduler mutex) while holding a shard mutex; the scheduler never
-/// holds its mutex across `DrainFn`/`IdleFn` callbacks, so the shard →
-/// scheduler order is acyclic. `FlushChannel`/`CloseChannel`/`FlushAll`
-/// block on drain workers and must be called WITHOUT any shard lock.
+/// Lock ordering: shard → scheduler. Callers may invoke `Admit`/`Offer`/
+/// `ArmDeadline`/`RecordPublish` (which take the scheduler mutex) while
+/// holding a shard mutex; the scheduler never holds its mutex across
+/// `DrainFn`/`PublishFn` callbacks, so the order is acyclic.
+/// `FlushChannel`/`CloseChannel`/`FlushAll` block on drain workers and
+/// must be called WITHOUT any shard lock.
 class ChannelScheduler {
  public:
   struct Options {
@@ -68,10 +78,6 @@ class ChannelScheduler {
     size_t max_queue_messages = 8192;
     /// DRR quantum: messages moved per channel per scheduler visit.
     size_t quantum_messages = 256;
-    /// When > 0 and the queues are idle, invoke `IdleFn` at most every
-    /// this many seconds (the server uses it to publish age-triggered
-    /// provisional snapshots for channels that went quiet mid-batch).
-    double idle_scan_seconds = 0.0;
     /// Test seam: monotonic clock in seconds. Defaults to steady_clock.
     std::function<double()> clock;
 
@@ -89,9 +95,10 @@ class ChannelScheduler {
   /// scheduler worker with no scheduler lock held.
   using DrainFn =
       std::function<void(const std::string& video_id, std::vector<Batch>)>;
-  /// Invoked by an idle worker (no scheduler lock held); see
-  /// `idle_scan_seconds`.
-  using IdleFn = std::function<void()>;
+  /// Publishes a channel whose armed deadline came due. Invoked on a
+  /// scheduler worker with no scheduler lock held; the deadline may have
+  /// been met in the meantime, so the callee re-checks the channel's age.
+  using PublishFn = std::function<void(const std::string& video_id)>;
 
   /// Outcome of `Admit`/`Offer`.
   struct Admission {
@@ -105,7 +112,7 @@ class ChannelScheduler {
   };
 
   static common::Result<std::unique_ptr<ChannelScheduler>> Create(
-      Options options, DrainFn drain, IdleFn idle = nullptr);
+      Options options, DrainFn drain, PublishFn publish = nullptr);
 
   ~ChannelScheduler();
   ChannelScheduler(const ChannelScheduler&) = delete;
@@ -122,9 +129,16 @@ class ChannelScheduler {
   Admission Offer(const std::string& video_id,
                   std::vector<core::Message> messages, size_t offered);
 
+  /// Server callback: `video_id` has unpublished messages that must be
+  /// published by `deadline_seconds` (scheduler clock). Keeps at most one
+  /// live deadline per channel: a no-op while an earlier or equal one is
+  /// armed. Workers call `PublishFn` once the deadline is due.
+  void ArmDeadline(const std::string& video_id, double deadline_seconds);
+
   /// Server callback: a provisional snapshot for `video_id` was
   /// published, covering messages admitted up to `staleness_seconds`
-  /// ago. Feeds the per-channel staleness columns of `Snapshot()`.
+  /// ago. Disarms the channel's deadline and feeds the per-channel
+  /// staleness columns of `Snapshot()`.
   void RecordPublish(const std::string& video_id, double staleness_seconds);
   /// Server callback: `count` admitted messages were dropped by the
   /// engine (out-of-order stragglers that slipped past the admission
@@ -178,6 +192,9 @@ class ChannelScheduler {
     bool in_service = false;  ///< a worker is draining this channel
     bool in_active = false;   ///< queued on the round-robin list
     bool closed = false;
+    // Publish deadline; heap entries that do not match it are stale.
+    bool deadline_armed = false;
+    double deadline_seconds = 0.0;
     // Accounting (mirrors ChannelSnapshot).
     uint64_t admitted_messages = 0;
     uint64_t throttled_batches = 0;
@@ -187,18 +204,30 @@ class ChannelScheduler {
     double max_staleness_seconds = 0.0;
   };
 
-  ChannelScheduler(Options options, DrainFn drain, IdleFn idle);
+  /// One armed deadline; the heap orders them earliest first.
+  struct Deadline {
+    double seconds = 0.0;
+    std::string video_id;
+    bool operator>(const Deadline& other) const {
+      return seconds > other.seconds;
+    }
+  };
+
+  ChannelScheduler(Options options, DrainFn drain, PublishFn publish);
 
   double Now() const { return options_.clock(); }
   double EffectiveBurst() const;
   /// Refills the bucket and charges it for `offered`; on refusal fills
   /// in the retry delay. Requires mu_ held.
   Admission ChargeBucket(Channel& ch, size_t offered, double now);
+  /// Pops stale heap entries and, when the earliest live deadline is
+  /// due, pops and disarms it into `video_id`. Requires mu_ held.
+  bool PopDueDeadline(std::string* video_id);
   void WorkerLoop();
 
   Options options_;
   DrainFn drain_;
-  IdleFn idle_;
+  PublishFn publish_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< work queued / stopping
@@ -207,7 +236,10 @@ class ChannelScheduler {
   /// Round-robin order of channels with queued work (DRR active list).
   std::deque<std::string> active_;
   size_t total_queued_ = 0;
-  double last_idle_scan_ = 0.0;
+  /// Armed publish deadlines, earliest on top (lazy deletion: entries
+  /// superseded by a publish stay until they surface and are skipped).
+  std::priority_queue<Deadline, std::vector<Deadline>, std::greater<>>
+      deadlines_;
   bool stop_ = false;
 
   std::vector<std::thread> workers_;

@@ -61,11 +61,6 @@ HighlightServer::HighlightServer(ServerOptions options)
     sched.max_queue_messages = options_.ingest_queue_messages;
     sched.quantum_messages = options_.ingest_quantum_messages;
     sched.clock = options_.ingest_clock;
-    if (options_.ingest_workers > 0 &&
-        options_.stream_publish_max_delay_seconds > 0.0) {
-      sched.idle_scan_seconds =
-          std::max(0.01, options_.stream_publish_max_delay_seconds / 2.0);
-    }
     ingest_scheduler_ =
         ChannelScheduler::Create(
             std::move(sched),
@@ -73,7 +68,7 @@ HighlightServer::HighlightServer(ServerOptions options)
                    std::vector<ChannelScheduler::Batch> batches) {
               DrainChannelBatches(id, std::move(batches));
             },
-            [this] { PublishStaleProvisionals(/*force=*/false); })
+            [this](const std::string& id) { PublishDueProvisional(id); })
             .value();
   }
   workers_.reserve(options_.num_workers);
@@ -195,6 +190,9 @@ HighlightServer::VideoState* HighlightServer::FindOrLoadState(
   if (it != shard.videos.end() && it->second.snapshot != nullptr) {
     return &it->second;
   }
+  // A live stream's only database dots are a prefix a failed finalize
+  // began to persist; they are not final until its retry succeeds.
+  if (it != shard.videos.end() && it->second.live()) return nullptr;
   // First touch this process (or only a seeded watermark so far): pull
   // the published state from the database, if any.
   std::vector<storage::HighlightRecord> records;
@@ -301,7 +299,7 @@ common::Result<PageVisitResponse> HighlightServer::OnPageVisit(
     return response;
   }
   if (auto it = shard.videos.find(req.video_id);
-      it != shard.videos.end() && it->second.stream != nullptr) {
+      it != shard.videos.end() && it->second.live()) {
     // Live video before its first provisional publish: nothing to show
     // yet, and the batch initializer must not run on a moving target.
     response.provisional = true;
@@ -329,9 +327,12 @@ bool HighlightServer::MaybePublishProvisional(const std::string& video_id,
   const double now = IngestNow();
   const bool threshold =
       state.stream_since_publish >= options_.stream_refresh_messages;
+  // The same sum the armed deadline holds: `now - oldest >= delay` can
+  // round below the deadline the scheduler already found due.
   const double max_delay = options_.stream_publish_max_delay_seconds;
-  const bool aged = max_delay > 0.0 && state.has_unpublished &&
-                    now - state.oldest_unpublished_seconds >= max_delay;
+  const bool aged =
+      max_delay > 0.0 && state.has_unpublished &&
+      now >= state.oldest_unpublished_seconds + max_delay;
   if (!threshold && !aged && !force) return false;
   state.stream_since_publish = 0;
   auto snapshot = std::make_shared<Snapshot>();
@@ -368,11 +369,15 @@ common::Result<IngestChatResponse> HighlightServer::IngestChat(
   Shard& shard = ShardFor(req.video_id);
   auto lk = LockShard(shard);
   if (VideoState* existing = FindOrLoadState(shard, req.video_id, lk);
-      existing != nullptr && existing->stream == nullptr) {
+      existing != nullptr && !existing->live()) {
     return common::Status::FailedPrecondition(
         "IngestChat: video already has recorded highlights: " + req.video_id);
   }
   VideoState& state = shard.videos[req.video_id];
+  if (state.finalizing()) {
+    return common::Status::FailedPrecondition(
+        "IngestChat: stream is finalizing: " + req.video_id);
+  }
   if (state.stream == nullptr) {
     state.stream = std::make_unique<core::StreamingInitializer>(
         &options_.lightor->initializer());
@@ -469,15 +474,16 @@ void HighlightServer::DrainChannelBatches(
     return;
   }
   VideoState& state = it->second;
+  const bool was_unpublished = state.has_unpublished;
   for (auto& batch : batches) {
-    if (!state.has_unpublished && !batch.messages.empty()) {
-      state.has_unpublished = true;
-      state.oldest_unpublished_seconds = batch.enqueue_seconds;
-    }
     auto counts = state.stream->IngestBatch(batch.messages);
     if (!counts.ok()) {
       ingest_scheduler_->RecordRejected(video_id, batch.messages.size());
       continue;
+    }
+    if (counts.value().accepted > 0 && !state.has_unpublished) {
+      state.has_unpublished = true;
+      state.oldest_unpublished_seconds = batch.enqueue_seconds;
     }
     state.stream_since_publish += counts.value().accepted;
     if (counts.value().rejected > 0) {
@@ -485,20 +491,40 @@ void HighlightServer::DrainChannelBatches(
     }
   }
   MaybePublishProvisional(video_id, state, /*force=*/false);
+  // First unpublished messages since the last publish: the bound becomes
+  // a deadline the scheduler's workers keep, however quiet the channel
+  // goes from here.
+  if (!was_unpublished) ArmPublishDeadline(video_id, state);
 }
 
-void HighlightServer::PublishStaleProvisionals(bool force) {
+void HighlightServer::ArmPublishDeadline(const std::string& video_id,
+                                         const VideoState& state) {
+  const double max_delay = options_.stream_publish_max_delay_seconds;
+  if (max_delay <= 0.0 || !state.has_unpublished) return;
+  ingest_scheduler_->ArmDeadline(video_id,
+                                 state.oldest_unpublished_seconds + max_delay);
+}
+
+void HighlightServer::PublishDueProvisional(const std::string& video_id) {
+  Shard& shard = ShardFor(video_id);
+  auto lk = LockShard(shard);
+  auto it = shard.videos.find(video_id);
+  if (it == shard.videos.end()) return;
+  MaybePublishProvisional(video_id, it->second, /*force=*/false);
+}
+
+void HighlightServer::PublishAllProvisionals() {
   for (auto& shard : shards_) {
     auto lk = LockShard(*shard);
     for (auto& [video_id, state] : shard->videos) {
-      MaybePublishProvisional(video_id, state, force);
+      MaybePublishProvisional(video_id, state, /*force=*/true);
     }
   }
 }
 
 void HighlightServer::FlushIngest() {
   if (options_.ingest_workers > 0) ingest_scheduler_->FlushAll();
-  PublishStaleProvisionals(/*force=*/true);
+  PublishAllProvisionals();
 }
 
 std::vector<ChannelScheduler::ChannelSnapshot>
@@ -522,62 +548,87 @@ common::Result<FinalizeStreamResponse> HighlightServer::FinalizeStream(
   // Claim the engine: moving it out under the shard lock makes finalize
   // one-shot and lets the (possibly long) batch tail run without holding
   // the lock. Readers keep being served the last provisional snapshot.
+  // A video whose earlier finalize computed its dots but failed to
+  // persist them skips straight to the persist step with those dots.
   Shard& shard = ShardFor(req.video_id);
   std::unique_ptr<core::StreamingInitializer> engine;
+  FinalDots final_dots;
   {
     auto lk = LockShard(shard);
     auto it = shard.videos.find(req.video_id);
-    if (it == shard.videos.end() || it->second.stream == nullptr) {
+    if (it != shard.videos.end() && it->second.finalize_inflight) {
+      return common::Status::FailedPrecondition(
+          "FinalizeStream: already finalizing: " + req.video_id);
+    }
+    if (it == shard.videos.end() || !it->second.live()) {
       lk.unlock();
       ingest_scheduler_->ReopenChannel(req.video_id);
       return common::Status::FailedPrecondition(
           "FinalizeStream: no active stream for video: " + req.video_id);
     }
-    engine = std::move(it->second.stream);
-    it->second.stream_since_publish = 0;
-  }
-
-  // Resolve the authoritative length: caller > platform metadata >
-  // stream watermark (the platform is immutable, no lock needed).
-  double video_length = req.video_length;
-  if (video_length <= 0.0) {
-    if (auto video = options_.platform->GetVideo(req.video_id); video.ok()) {
-      video_length = video.value().truth.meta.length;
+    it->second.finalize_inflight = true;
+    if (it->second.unpersisted_final.has_value()) {
+      final_dots = *it->second.unpersisted_final;
     } else {
-      video_length = engine->stats().watermark;
+      engine = std::move(it->second.stream);
     }
   }
-  auto dots = engine->Finalize(video_length, options_.top_k);
-  if (!dots.ok()) {
-    // e.g. a length behind the watermark: hand the engine back (and
-    // reopen the channel's admission) so the caller can retry with a
-    // valid length.
-    {
-      auto relock = LockShard(shard);
-      shard.videos[req.video_id].stream = std::move(engine);
-    }
-    ingest_scheduler_->ReopenChannel(req.video_id);
-    return dots.status();
-  }
-  ActiveStreamsGauge().Add(-1.0);
-  StreamFinalizedCounter().Increment();
 
-  FinalizeStreamResponse response;
-  response.video_length = video_length;
-  response.highlights = RecordsFromDots(req.video_id, dots.value());
+  if (engine != nullptr) {
+    // Resolve the authoritative length: caller > platform metadata >
+    // stream watermark (the platform is immutable, no lock needed).
+    double video_length = req.video_length;
+    if (video_length <= 0.0) {
+      if (auto video = options_.platform->GetVideo(req.video_id);
+          video.ok()) {
+        video_length = video.value().truth.meta.length;
+      } else {
+        video_length = engine->stats().watermark;
+      }
+    }
+    auto dots = engine->Finalize(video_length, options_.top_k);
+    auto lk = LockShard(shard);
+    VideoState& state = shard.videos[req.video_id];
+    if (!dots.ok()) {
+      // e.g. a length behind the watermark: hand the engine back (and
+      // reopen the channel's admission) so the caller can retry with a
+      // valid length. A deadline that came due meanwhile found no engine.
+      state.stream = std::move(engine);
+      state.finalize_inflight = false;
+      ArmPublishDeadline(req.video_id, state);
+      lk.unlock();
+      ingest_scheduler_->ReopenChannel(req.video_id);
+      return dots.status();
+    }
+    final_dots.records = RecordsFromDots(req.video_id, dots.value());
+    final_dots.video_length = video_length;
+    state.unpersisted_final = final_dots;
+  }
+
+  // Persist. On a storage error the dots stay on the video's state and
+  // the channel stays closed: the caller gets the IoError (503 +
+  // Retry-After on the wire), and a retry re-puts the same records, which
+  // is idempotent because the store keeps the latest record per dot.
+  common::Status persisted;
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
-    for (const auto& rec : response.highlights) {
-      LIGHTOR_RETURN_IF_ERROR(options_.db->PutHighlight(rec));
+    for (const auto& rec : final_dots.records) {
+      persisted = options_.db->PutHighlight(rec);
+      if (!persisted.ok()) break;
     }
   }
+  FinalizeStreamResponse response;
+  response.video_length = final_dots.video_length;
   {
     auto lk = LockShard(shard);
     VideoState& state = shard.videos[req.video_id];
+    state.finalize_inflight = false;
+    if (!persisted.ok()) return persisted;
+    state.unpersisted_final.reset();
     auto snapshot = std::make_shared<Snapshot>();
     snapshot->version =
         state.snapshot == nullptr ? 1 : state.snapshot->version + 1;
-    snapshot->records = response.highlights;
+    snapshot->records = final_dots.records;
     state.snapshot = std::move(snapshot);
     response.snapshot_version = state.snapshot->version;
     // The final snapshot covers whatever the provisional publishes had
@@ -590,8 +641,11 @@ common::Result<FinalizeStreamResponse> HighlightServer::FinalizeStream(
       state.has_unpublished = false;
     }
   }
+  ActiveStreamsGauge().Add(-1.0);
+  StreamFinalizedCounter().Increment();
+  response.highlights = std::move(final_dots.records);
   LIGHTOR_LOG(Info) << "serving: stream " << req.video_id << " finalized at "
-                    << video_length << "s with "
+                    << response.video_length << "s with "
                     << response.highlights.size() << " red dots";
   return response;
 }
@@ -674,7 +728,7 @@ common::Result<GetHighlightsResponse> HighlightServer::GetHighlights(
   GetHighlightsResponse response;
   if (state == nullptr) {
     if (auto it = shard.videos.find(video_id);
-        it != shard.videos.end() && it->second.stream != nullptr) {
+        it != shard.videos.end() && it->second.live()) {
       response.provisional = true;  // live, nothing published yet
       return response;
     }
@@ -870,7 +924,7 @@ void HighlightServer::Shutdown() {
   // message is applied (and its provisional progress published) even
   // when the stream is then dropped below.
   ingest_scheduler_->Shutdown();
-  PublishStaleProvisionals(/*force=*/true);
+  PublishAllProvisionals();
   // Drain: synchronously consume accumulated batches, then let the
   // workers finish whatever is still queued and exit.
   Flush();
@@ -902,14 +956,16 @@ void HighlightServer::Shutdown() {
     (void)CheckpointPass("shutdown", /*skip_if_clean=*/true);
   }
   // Live streams cannot be finalized without an authoritative length
-  // decision from the caller; drop them (their chat is lost — the
-  // broadcaster re-ingests or the crawler recovers the recorded chat).
+  // decision from the caller; drop them, with any dots a failed finalize
+  // could not persist (their chat is lost — the broadcaster re-ingests or
+  // the crawler recovers the recorded chat).
   size_t dropped = 0;
   for (auto& shard : shards_) {
     auto lk = LockShard(*shard);
     for (auto& [video_id, state] : shard->videos) {
-      if (state.stream != nullptr) {
+      if (state.stream != nullptr || state.unpersisted_final.has_value()) {
         state.stream.reset();
+        state.unpersisted_final.reset();
         ++dropped;
       }
     }

@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -113,8 +114,8 @@ class HighlightServer {
   common::Result<IngestChatResponse> IngestChat(const IngestChatRequest& req);
 
   /// Blocks until every queued ingest batch has been drained into its
-  /// engine and age-due provisional snapshots are published. No-op on
-  /// the synchronous path. Test/CLI seam; thread-safe.
+  /// engine, then publishes every stream's unpublished progress
+  /// regardless of age. Test/CLI seam; thread-safe.
   void FlushIngest();
 
   /// Per-channel live-ingest accounting (queues, budgets, staleness) for
@@ -124,7 +125,11 @@ class HighlightServer {
   /// Ends a live stream: finalizes the incremental engine (bit-exact
   /// with the batch initializer over the same messages), persists the
   /// result, and atomically swaps the provisional snapshot for it.
-  /// Thread-safe; finalization itself runs outside the shard lock.
+  /// Thread-safe; finalization itself runs outside the shard lock. A
+  /// storage error while persisting returns the IoError and keeps the
+  /// computed dots, with the stream still closed to ingest; a retry
+  /// persists exactly those dots. A call racing another one on the same
+  /// video fails with FailedPrecondition.
   common::Result<FinalizeStreamResponse> FinalizeStream(
       const FinalizeStreamRequest& req);
 
@@ -179,6 +184,12 @@ class HighlightServer {
     bool provisional = false;
   };
 
+  /// A finalized stream's dots and the length they were computed at.
+  struct FinalDots {
+    std::vector<storage::HighlightRecord> records;
+    double video_length = 0.0;
+  };
+
   struct VideoState {
     std::shared_ptr<const Snapshot> snapshot;
     /// Interaction generation already consumed by refinement.
@@ -202,6 +213,19 @@ class HighlightServer {
     /// age-triggered publish.
     double oldest_unpublished_seconds = 0.0;
     bool has_unpublished = false;
+    /// A FinalizeStream call holds the claimed engine or its dots.
+    bool finalize_inflight = false;
+    /// Dots a FinalizeStream computed but could not persist. The engine
+    /// is spent, so the retried finalize re-puts exactly these.
+    std::optional<FinalDots> unpersisted_final;
+
+    /// Between the finalize claim and the final snapshot: reads serve the
+    /// provisional dots and ingest is refused.
+    bool finalizing() const {
+      return finalize_inflight || unpersisted_final.has_value();
+    }
+    /// Still a live stream: provisional dots, not yet finalized.
+    bool live() const { return stream != nullptr || finalizing(); }
   };
 
   struct Shard {
@@ -260,10 +284,20 @@ class HighlightServer {
   void DrainChannelBatches(const std::string& video_id,
                            std::vector<ChannelScheduler::Batch> batches);
 
-  /// Scheduler idle callback / flush tail: publishes provisional
-  /// snapshots for channels whose unpublished messages aged past the
-  /// configured delay (`force` ignores the age check).
-  void PublishStaleProvisionals(bool force);
+  /// Arms the channel's publish deadline (oldest unpublished admission +
+  /// `stream_publish_max_delay_seconds`) when it has unpublished
+  /// messages and the bound is set. Requires the shard mutex held.
+  void ArmPublishDeadline(const std::string& video_id,
+                          const VideoState& state);
+
+  /// ChannelScheduler deadline callback: publishes the channel if its
+  /// oldest unpublished message has aged past the bound (a no-op when a
+  /// drain or finalize published it first).
+  void PublishDueProvisional(const std::string& video_id);
+
+  /// Flush tail of `FlushIngest` and `Shutdown`: publishes every
+  /// stream's unpublished progress regardless of age.
+  void PublishAllProvisionals();
 
   /// One full refinement pass (the worker body and the synchronous
   /// `Refine`). `trigger` is "batch", "explicit", or "drain".
@@ -292,9 +326,10 @@ class HighlightServer {
 
   /// Per-channel admission budgets + DRR drain tier (always present;
   /// with `ingest_workers == 0` it is admission-only and `IngestChat`
-  /// stays synchronous). Workers call back into `DrainChannelBatches`,
-  /// which takes shard locks — the scheduler never holds its own lock
-  /// across the callback, so shard → scheduler ordering is acyclic.
+  /// stays synchronous). Workers call back into `DrainChannelBatches`
+  /// and `PublishDueProvisional`, which take shard locks — the scheduler
+  /// never holds its own lock across a callback, so shard → scheduler
+  /// ordering is acyclic.
   std::unique_ptr<ChannelScheduler> ingest_scheduler_;
 
   /// Coarse database mutex; see the lock-ordering note above.

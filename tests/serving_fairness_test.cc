@@ -1,17 +1,22 @@
 /// Fair-share live ingest: per-channel token-bucket admission (429 +
 /// Retry-After semantics), deficit-round-robin draining that keeps cold
-/// channels fresh under a hot channel's 100x spike, and the no-ack-drop
-/// guarantee — a throttled batch leaves no trace, so the finalized
-/// stream equals a reference fed exactly the acked batches.
+/// channels fresh under a hot channel's 100x spike, publish deadlines
+/// that the drain workers keep however busy or quiet the channels are,
+/// and the no-ack-drop guarantee — a throttled batch leaves no trace, so
+/// the finalized stream equals a reference fed exactly the acked batches.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serving/channel_scheduler.h"
@@ -214,9 +219,75 @@ class ServingFairnessTest : public ::testing::Test {
     return opts;
   }
 
+  /// An injected ingest clock; the drain workers read it on their own
+  /// threads, while they sleep in real time.
+  std::function<double()> FakeClock() {
+    return [this] { return fake_now_.load(); };
+  }
+  void Advance(double seconds) { fake_now_.store(fake_now_.load() + seconds); }
+
+  static ChannelScheduler::ChannelSnapshot ChannelOf(
+      const HighlightServer& server, const std::string& video_id) {
+    for (auto& ch : server.ChannelsSnapshot()) {
+      if (ch.video_id == video_id) return ch;
+    }
+    return {};
+  }
+
+  static void Ingest(HighlightServer& server, const std::string& video_id,
+                     std::vector<core::Message> messages) {
+    IngestChatRequest req;
+    req.video_id = video_id;
+    req.messages = std::move(messages);
+    const size_t count = req.messages.size();
+    auto resp = server.IngestChat(req);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp.value().accepted, count);
+  }
+
+  /// Waits (real time) until a worker took the channel's queue, plus a
+  /// margin for the drain itself. A drain that lands later only weakens
+  /// a test (it may publish on its own), never fails it.
+  static void AwaitDrained(const HighlightServer& server,
+                           const std::string& video_id) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (ChannelOf(server, video_id).queued_messages > 0 &&
+           std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+
+  /// Keeps the "hot" channel backlogged, so a single drain worker never
+  /// goes idle, until `done()` holds or `seconds` of real time pass.
+  /// Returns `done()`.
+  bool UnderHotLoad(HighlightServer& server, const std::function<bool()>& done,
+                    double seconds) {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::duration<double>(seconds);
+    for (;;) {
+      if (done()) return true;
+      if (std::chrono::steady_clock::now() >= until) return false;
+      IngestChatRequest req;
+      req.video_id = "hot";
+      req.messages = MakeMessages(kHotBatch, hot_ts_);
+      auto resp = server.IngestChat(req);
+      EXPECT_TRUE(resp.ok()) << resp.status().ToString();
+      hot_ts_ += static_cast<double>(kHotBatch);
+    }
+  }
+
+  /// Exact binary fractions, so the deadline sums carry no rounding.
+  static constexpr double kBound = 0.0625;
+  static constexpr double kStep = 0.015625;
+  static constexpr size_t kHotBatch = 256;
+
   std::string dir_;
   std::unique_ptr<sim::Platform> platform_;
   std::unique_ptr<core::Lightor> lightor_;
+  std::atomic<double> fake_now_{128.0};
+  double hot_ts_ = 0.0;
 };
 
 TEST_F(ServingFairnessTest, ColdChannelStalenessBoundedUnderHotSpike) {
@@ -270,6 +341,114 @@ TEST_F(ServingFairnessTest, ColdChannelStalenessBoundedUnderHotSpike) {
   }
   EXPECT_EQ(cold_seen, kCold);
   server.value()->Shutdown();
+}
+
+// A cold channel's one sub-threshold batch is published by its deadline
+// while a hot channel keeps the only drain worker busy: the worker checks
+// the deadline heap before every DRR visit instead of waiting for a lull.
+TEST_F(ServingFairnessTest, DeadlinePublishesColdChannelUnderHotLoad) {
+  auto db = OpenDb(dir_);
+  ServerOptions opts = BaseOptions(db.get());
+  opts.ingest_workers = 1;
+  opts.ingest_queue_messages = 4096;
+  opts.stream_refresh_messages = 1 << 20;  // no threshold publishes
+  opts.stream_publish_max_delay_seconds = kBound;
+  opts.ingest_clock = FakeClock();
+  auto created = HighlightServer::Create(opts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  HighlightServer& server = *created.value();
+
+  const double t0 = fake_now_.load();
+  Ingest(server, "cold", MakeMessages(8, 0.0));
+  AwaitDrained(server, "cold");
+  // The clock crosses the cold deadline in steps, one hot batch per
+  // step, then holds while the hot channel stays backlogged.
+  while (fake_now_.load() < t0 + kBound) {
+    Advance(kStep);
+    Ingest(server, "hot", MakeMessages(kHotBatch, hot_ts_));
+    hot_ts_ += static_cast<double>(kHotBatch);
+  }
+  ASSERT_TRUE(UnderHotLoad(
+      server, [&] { return ChannelOf(server, "cold").publishes > 0; }, 5.0))
+      << "the cold channel waited for the hot channel to go idle";
+  const auto cold = ChannelOf(server, "cold");
+  EXPECT_EQ(cold.publishes, 1u);
+  EXPECT_GE(cold.max_staleness_seconds, kBound);
+  EXPECT_LE(cold.max_staleness_seconds, kBound + kStep);
+  server.Shutdown();
+}
+
+// A channel that goes quiet after one sub-threshold batch is published on
+// the real clock with no further traffic at all: an idle worker sleeps
+// until the deadline.
+TEST_F(ServingFairnessTest, DeadlinePublishesQuietChannelOnSteadyClock) {
+  auto db = OpenDb(dir_);
+  ServerOptions opts = BaseOptions(db.get());
+  opts.ingest_workers = 1;
+  opts.stream_publish_max_delay_seconds = 0.05;
+  auto created = HighlightServer::Create(opts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  HighlightServer& server = *created.value();
+
+  Ingest(server, "quiet", MakeMessages(8, 0.0));
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (ChannelOf(server, "quiet").publishes == 0 &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto quiet = ChannelOf(server, "quiet");
+  EXPECT_EQ(quiet.publishes, 1u);
+  // `now >= oldest + bound` may round a hair under `now - oldest`.
+  EXPECT_GE(quiet.max_staleness_seconds, 0.05 - 1e-9);
+  EXPECT_LT(quiet.max_staleness_seconds, 1.0);  // room for sanitizers
+  server.Shutdown();
+}
+
+// A channel that reaches the refresh threshold before its deadline
+// publishes once: the superseded heap entry is skipped when it surfaces,
+// and messages that arrive after the publish get a deadline of their own.
+TEST_F(ServingFairnessTest, ThresholdPublishBeforeDeadlinePublishesOnce) {
+  auto db = OpenDb(dir_);
+  ServerOptions opts = BaseOptions(db.get());
+  opts.ingest_workers = 1;
+  opts.ingest_queue_messages = 4096;
+  opts.stream_refresh_messages = 64;
+  opts.stream_publish_max_delay_seconds = kBound;
+  opts.ingest_clock = FakeClock();
+  auto created = HighlightServer::Create(opts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  HighlightServer& server = *created.value();
+  const auto publishes = [&] { return ChannelOf(server, "ch").publishes; };
+
+  // 10 messages arm the deadline t0 + bound; 54 more reach the threshold
+  // one step later and publish.
+  const double t0 = fake_now_.load();
+  Ingest(server, "ch", MakeMessages(10, 0.0));
+  AwaitDrained(server, "ch");
+  Advance(kStep);
+  Ingest(server, "ch", MakeMessages(54, 10.0));
+  ASSERT_TRUE(UnderHotLoad(server, [&] { return publishes() >= 1; }, 5.0));
+  EXPECT_EQ(ChannelOf(server, "ch").last_staleness_seconds, kStep);
+
+  // New messages at t1 arm t1 + bound. Past the superseded t0 + bound
+  // but before t1 + bound, nothing publishes...
+  Advance(kStep);
+  const double t1 = fake_now_.load();
+  Ingest(server, "ch", MakeMessages(10, 64.0));
+  AwaitDrained(server, "ch");
+  Advance(t0 + kBound + kStep - fake_now_.load());
+  ASSERT_LT(fake_now_.load(), t1 + kBound);
+  EXPECT_FALSE(UnderHotLoad(server, [&] { return publishes() > 1; }, 0.2));
+  EXPECT_EQ(publishes(), 1u);
+
+  // ... and at t1 + bound the fresh deadline publishes them.
+  Advance(t1 + kBound - fake_now_.load());
+  ASSERT_TRUE(UnderHotLoad(server, [&] { return publishes() > 1; }, 5.0))
+      << "the second deadline was not kept under hot load";
+  const auto ch = ChannelOf(server, "ch");
+  EXPECT_EQ(ch.publishes, 2u);
+  EXPECT_EQ(ch.last_staleness_seconds, kBound);
+  server.Shutdown();
 }
 
 TEST_F(ServingFairnessTest, ThrottleNeverDropsAckedMessages) {

@@ -279,6 +279,95 @@ TEST_F(ServingRecoveryTest, SessionLoggingFailureMaps503OnTheWire) {
   EXPECT_GT(counter->value(), errors_before);
 }
 
+// A storage error while /finalize persists its dots must not destroy the
+// stream. The call answers 503 + Retry-After, the video stays live (its
+// provisional dots served, ingest refused as finalizing) and the metrics
+// do not move; the retry persists exactly the dots the batch Initializer
+// computes over the acked chat, and a restart loads exactly those.
+TEST_F(ServingRecoveryTest, FinalizeSurvivesHighlightWriteError) {
+  auto* finalized = obs::Registry::Global().GetCounter(
+      "lightor_stream_finalized_total");
+  auto* active = obs::Registry::Global().GetGauge(
+      "lightor_stream_active_streams");
+  const auto video = platform_->GetVideo(video_id_).value();
+  const std::vector<core::Message> chat = sim::ToCoreMessages(video.chat);
+  std::vector<storage::HighlightRecord> final_records;
+  {
+    auto db = OpenDb();
+    auto server = MakeServer(db.get());
+    IngestChatRequest ingest;
+    ingest.video_id = video_id_;
+    ingest.messages = chat;
+    auto acked = server->IngestChat(ingest);
+    ASSERT_TRUE(acked.ok()) << acked.status().ToString();
+    ASSERT_EQ(acked.value().accepted, chat.size());
+    const double finalized_before = finalized->value();
+    const double active_before = active->value();
+
+    // The next I/O point is the finalize's first PutHighlight.
+    net::Router routes = net::BuildRoutes(server.get());
+    int error_status = 0;
+    const net::HttpHandler* handler =
+        routes.Find("POST", "/finalize", &error_status);
+    ASSERT_NE(handler, nullptr);
+    const std::string body = "{\"video_id\":\"" + video_id_ + "\"}";
+    net::HttpRequest wire;
+    wire.method = "POST";
+    wire.path = "/finalize";
+    wire.body = body;
+    env_.InjectAt(env_.io_points(), ft::FaultKind::kEnospc);
+    net::HttpResponse response = (*handler)(wire);
+    EXPECT_EQ(response.status, 503);
+    EXPECT_NE(response.FindHeader("retry-after"), nullptr);
+    EXPECT_EQ(finalized->value(), finalized_before);
+    EXPECT_EQ(active->value(), active_before);
+
+    auto live = server->GetHighlights(video_id_);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    EXPECT_TRUE(live.value().provisional);
+    IngestChatRequest late;
+    late.video_id = video_id_;
+    late.messages = {chat.back()};
+    EXPECT_EQ(server->IngestChat(late).status().code(),
+              common::StatusCode::kFailedPrecondition);
+
+    // The failed append wedged the highlight log; a checkpoint starts a
+    // fresh generation (storage/checkpoint.h), after which the retry
+    // re-puts the dots the first call computed.
+    ASSERT_TRUE(server->Checkpoint().ok());
+    auto retried = server->FinalizeStream({video_id_, 0.0});
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    EXPECT_EQ(finalized->value(), finalized_before + 1);
+    EXPECT_EQ(active->value(), active_before - 1);
+    final_records = retried.value().highlights;
+    const auto batch =
+        lightor_->Initialize(chat, video.truth.meta.length, /*top_k=*/5);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(final_records.size(), batch.value().size());
+    ASSERT_FALSE(final_records.empty());
+    for (size_t i = 0; i < final_records.size(); ++i) {
+      EXPECT_EQ(final_records[i].dot_position, batch.value()[i].position)
+          << "dot " << i;
+      EXPECT_EQ(final_records[i].score, batch.value()[i].score) << "dot " << i;
+    }
+    auto served = server->GetHighlights(video_id_);
+    ASSERT_TRUE(served.ok());
+    EXPECT_FALSE(served.value().provisional);
+    server->Shutdown();
+    env_.RecoverAfterCrash(ft::CrashModel::kProcess);
+  }
+
+  auto db = OpenDb();
+  auto server = MakeServer(db.get());
+  auto loaded = server->GetHighlights(video_id_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(loaded.value().provisional);
+  ASSERT_EQ(loaded.value().highlights.size(), final_records.size());
+  for (size_t i = 0; i < final_records.size(); ++i) {
+    EXPECT_EQ(loaded.value().highlights[i], final_records[i]) << "dot " << i;
+  }
+}
+
 // Checkpointed restart: after refine + checkpoint + a post-checkpoint
 // burst, a SIGKILL restart loads the checkpoint, replays only the log
 // suffix, serves byte-identical /highlights, and the first refinement

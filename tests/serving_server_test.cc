@@ -90,6 +90,15 @@ TEST_F(HighlightServerTest, CreateValidatesOptions) {
   opts = BaseOptions(db.get());
   opts.num_shards = 0;
   EXPECT_TRUE(HighlightServer::Create(opts).status().IsInvalidArgument());
+  // A publish deadline needs ingest workers to keep it: on the
+  // synchronous path nothing would publish a channel that went quiet.
+  opts = BaseOptions(db.get());
+  opts.stream_publish_max_delay_seconds = 0.05;
+  EXPECT_TRUE(HighlightServer::Create(opts).status().IsInvalidArgument());
+  opts.ingest_workers = 1;
+  auto kept = HighlightServer::Create(opts);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  kept.value()->Shutdown();
 }
 
 TEST_F(HighlightServerTest, FirstVisitPublishesSnapshotV1) {
