@@ -247,6 +247,27 @@ sh tools/check_bench_regression.sh "$lb_tmp/BENCH_live.json" \
     BENCH_live.json 40
 rm -rf "$lb_tmp"
 
+echo "== e2ebench output checks: both workloads, short runs =="
+# The benchmark's output checks are the strongest end-to-end correctness
+# checks in the repo: first visit == Initialize, /finalize == batch
+# Initializer, final /highlights == owner, monotone snapshot versions. A
+# short run of each workload gates them; it gates no timing.
+e2e_tmp=$(mktemp -d)
+for workload in skewed uniform; do
+  python3 e2ebench/run.py --workload "$workload" --seed 1 --seconds 4 \
+      --trace 0 > "$e2e_tmp/$workload.out" 2> "$e2e_tmp/$workload.log" || true
+  tail -n 1 "$e2e_tmp/$workload.out" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)
+' || {
+    echo "e2ebench: $workload output checks failed" >&2
+    tail -n 20 "$e2e_tmp/$workload.log" >&2
+    tail -n 1 "$e2e_tmp/$workload.out" >&2
+    exit 1; }
+done
+rm -rf "$e2e_tmp"
+
 # The concurrent serving layer, the net front-end, and the obs registry
 # they instrument are the multi-threaded parts of the tree: build just
 # their tests with -fsanitize=thread and run them under TSan.

@@ -21,6 +21,20 @@ common::Status ShuttingDown(const char* endpoint) {
   return common::Status::FailedPrecondition(
       std::string("HighlightServer: shutting down, rejected ") + endpoint);
 }
+
+std::vector<core::Message> ToMessages(
+    const std::vector<storage::ChatRecord>& chat) {
+  std::vector<core::Message> messages;
+  messages.reserve(chat.size());
+  for (const auto& rec : chat) {
+    core::Message m;
+    m.timestamp = rec.timestamp;
+    m.user = rec.user;
+    m.text = rec.text;
+    messages.push_back(std::move(m));
+  }
+  return messages;
+}
 }  // namespace
 
 common::Result<std::unique_ptr<HighlightServer>> HighlightServer::Create(
@@ -101,19 +115,22 @@ HighlightServer::RecoveryInfo HighlightServer::recovery_info() const {
 }
 
 common::Result<storage::CheckpointStats> HighlightServer::Checkpoint() {
+  std::lock_guard<std::mutex> db_lock(db_mu_);
   return CheckpointPass("explicit", /*skip_if_clean=*/false);
 }
 
 common::Result<storage::CheckpointStats> HighlightServer::CheckpointPass(
     const char* trigger, bool skip_if_clean) {
-  std::lock_guard<std::mutex> db_lock(db_mu_);
   if (skip_if_clean && options_.db->lsn() == last_checkpoint_lsn_) {
     return common::Status::FailedPrecondition(
         "checkpoint skipped: no records since the last one");
   }
   // In batched mode buffered interactions must hit the kernel before the
-  // image snapshots them and the old log generation is dropped.
-  if (options_.batched_session_flush) {
+  // image snapshots them and the old log generation is dropped. A wedged
+  // log is skipped: its buffer is gone, and the image comes from the
+  // stores, which hold every acked record.
+  if (options_.batched_session_flush &&
+      !options_.db->interactions_wedged()) {
     LIGHTOR_RETURN_IF_ERROR(options_.db->FlushInteractions());
   }
   auto result = options_.db->Checkpoint();
@@ -130,6 +147,12 @@ common::Result<storage::CheckpointStats> HighlightServer::CheckpointPass(
                     << ", truncated " << result.value().log_bytes_truncated
                     << " log bytes";
   return result;
+}
+
+void HighlightServer::RescueWedgedLog() {
+  if (options_.db->wedged()) {
+    (void)CheckpointPass("rescue", /*skip_if_clean=*/false);
+  }
 }
 
 void HighlightServer::RequestCheckpoint() {
@@ -154,9 +177,12 @@ void HighlightServer::CheckpointLoop() {
     const bool requested = ckpt_requested_;
     ckpt_requested_ = false;
     lk.unlock();
-    // Timer ticks with nothing new skip quietly (FailedPrecondition).
-    (void)CheckpointPass(requested ? "sessions" : "interval",
-                         /*skip_if_clean=*/true);
+    {
+      // Timer ticks with nothing new skip quietly (FailedPrecondition).
+      std::lock_guard<std::mutex> db_lock(db_mu_);
+      (void)CheckpointPass(requested ? "sessions" : "interval",
+                           /*skip_if_clean=*/true);
+    }
     lk.lock();
   }
 }
@@ -191,8 +217,12 @@ HighlightServer::VideoState* HighlightServer::FindOrLoadState(
     return &it->second;
   }
   // A live stream's only database dots are a prefix a failed finalize
-  // began to persist; they are not final until its retry succeeds.
-  if (it != shard.videos.end() && it->second.live()) return nullptr;
+  // began to persist; they are not final until its retry succeeds. A
+  // first visit in flight installs its own snapshot.
+  if (it != shard.videos.end() &&
+      (it->second.live() || it->second.initializing)) {
+    return nullptr;
+  }
   // First touch this process (or only a seeded watermark so far): pull
   // the published state from the database, if any.
   std::vector<storage::HighlightRecord> records;
@@ -209,32 +239,29 @@ HighlightServer::VideoState* HighlightServer::FindOrLoadState(
   return &state;
 }
 
-common::Result<HighlightServer::VideoState*> HighlightServer::InitializeVideo(
-    Shard& shard, const std::string& video_id) {
+common::Result<std::shared_ptr<const HighlightServer::Snapshot>>
+HighlightServer::InitializeVideo(const std::string& video_id) {
   obs::ScopedSpan span("serving.InitializeVideo");
+  // Chat an earlier process (or a visit whose dots failed to persist)
+  // stored is read back; otherwise the crawl's fetch step runs with no
+  // lock held.
   std::vector<core::Message> messages;
-  double video_length = 0.0;
+  std::vector<storage::ChatRecord> crawled;
+  bool stored = false;
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
-    auto crawled = crawler_.EnsureChat(video_id);
-    if (!crawled.ok()) return crawled.status();
-    const auto& chat = options_.db->chat().GetByVideo(video_id);
-    messages.reserve(chat.size());
-    for (const auto& rec : chat) {
-      core::Message m;
-      m.timestamp = rec.timestamp;
-      m.user = rec.user;
-      m.text = rec.text;
-      video_length = std::max(video_length, rec.timestamp);
-      messages.push_back(std::move(m));
-    }
+    stored = crawler_.HasChat(video_id);
+    if (stored) messages = ToMessages(options_.db->chat().GetByVideo(video_id));
+  }
+  if (!stored) {
+    LIGHTOR_ASSIGN_OR_RETURN(crawled, crawler_.Fetch(video_id));
+    messages = ToMessages(crawled);
   }
   // The platform knows the true video length; fall back to the last
-  // message when metadata is unavailable. The platform is immutable, so
-  // no lock is needed; the Initializer run happens outside db_mu_ so
-  // first visits on other shards only serialize on the database proper.
-  if (auto video = options_.platform->GetVideo(video_id); video.ok()) {
-    video_length = video.value().truth.meta.length;
+  // message (both orders are by timestamp) when metadata is unavailable.
+  double video_length = messages.empty() ? 0.0 : messages.back().timestamp;
+  if (auto length = options_.platform->VideoLength(video_id); length.ok()) {
+    video_length = length.value();
   }
   auto dots =
       options_.lightor->Initialize(messages, video_length, options_.top_k);
@@ -245,15 +272,15 @@ common::Result<HighlightServer::VideoState*> HighlightServer::InitializeVideo(
   snapshot->records = RecordsFromDots(video_id, dots.value());
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
-    for (const auto& rec : snapshot->records) {
-      LIGHTOR_RETURN_IF_ERROR(options_.db->PutHighlight(rec));
+    RescueWedgedLog();
+    if (!stored && !options_.db->chat().HasVideo(video_id)) {
+      LIGHTOR_RETURN_IF_ERROR(crawler_.Store(std::move(crawled)));
     }
+    LIGHTOR_RETURN_IF_ERROR(options_.db->PutHighlight(snapshot->records));
   }
-  VideoState& state = shard.videos[video_id];
-  state.snapshot = std::move(snapshot);
   LIGHTOR_LOG(Info) << "serving: first visit of " << video_id << " placed "
-                    << state.snapshot->records.size() << " red dots";
-  return &state;
+                    << snapshot->records.size() << " red dots";
+  return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 
 std::vector<storage::HighlightRecord> HighlightServer::RecordsFromDots(
@@ -289,27 +316,48 @@ common::Result<PageVisitResponse> HighlightServer::OnPageVisit(
   PageVisitsCounter(kKind).Increment();
 
   Shard& shard = ShardFor(req.video_id);
-  auto lk = LockShard(shard);
   PageVisitResponse response;
-  if (VideoState* state = FindOrLoadState(shard, req.video_id, lk)) {
-    DotCacheCounter(kKind, /*hit=*/true).Increment();
-    response.highlights = state->snapshot->records;
-    response.snapshot_version = state->snapshot->version;
-    response.provisional = state->snapshot->provisional;
-    return response;
+  {
+    auto lk = LockShard(shard);
+    for (;;) {
+      if (VideoState* state = FindOrLoadState(shard, req.video_id, lk)) {
+        DotCacheCounter(kKind, /*hit=*/true).Increment();
+        response.highlights = state->snapshot->records;
+        response.snapshot_version = state->snapshot->version;
+        response.provisional = state->snapshot->provisional;
+        return response;
+      }
+      auto it = shard.videos.find(req.video_id);
+      if (it == shard.videos.end()) break;
+      VideoState& state = it->second;
+      if (state.live()) {
+        // Live video before its first provisional publish: nothing to
+        // show yet, and the batch initializer must not run on a moving
+        // target.
+        response.provisional = true;
+        return response;
+      }
+      if (!state.initializing) break;
+      // Single flight: another visit is initializing this video. Serve
+      // its snapshot, or take over if it failed.
+      shard.first_visit_done.wait(lk, [&] { return !state.initializing; });
+    }
+    shard.videos[req.video_id].initializing = true;
   }
-  if (auto it = shard.videos.find(req.video_id);
-      it != shard.videos.end() && it->second.live()) {
-    // Live video before its first provisional publish: nothing to show
-    // yet, and the batch initializer must not run on a moving target.
-    response.provisional = true;
-    return response;
-  }
+  // Crawl, Initialize and persist with no shard lock held: reads of the
+  // shard's other videos go on, and so do first visits elsewhere.
   DotCacheCounter(kKind, /*hit=*/false).Increment();
-  auto initialized = InitializeVideo(shard, req.video_id);
-  if (!initialized.ok()) return initialized.status();
-  response.highlights = initialized.value()->snapshot->records;
-  response.snapshot_version = initialized.value()->snapshot->version;
+  auto snapshot = InitializeVideo(req.video_id);
+  {
+    auto lk = LockShard(shard);
+    VideoState& state = shard.videos[req.video_id];
+    state.initializing = false;
+    if (snapshot.ok()) state.snapshot = snapshot.value();
+  }
+  shard.first_visit_done.notify_all();
+  if (!snapshot.ok()) return snapshot.status();
+  response.highlights = snapshot.value()->records;
+  response.snapshot_version = snapshot.value()->version;
   response.first_visit = true;
   return response;
 }
@@ -368,12 +416,12 @@ common::Result<IngestChatResponse> HighlightServer::IngestChat(
 
   Shard& shard = ShardFor(req.video_id);
   auto lk = LockShard(shard);
-  if (VideoState* existing = FindOrLoadState(shard, req.video_id, lk);
-      existing != nullptr && !existing->live()) {
+  const VideoState* existing = FindOrLoadState(shard, req.video_id, lk);
+  VideoState& state = shard.videos[req.video_id];
+  if ((existing != nullptr && !existing->live()) || state.initializing) {
     return common::Status::FailedPrecondition(
         "IngestChat: video already has recorded highlights: " + req.video_id);
   }
-  VideoState& state = shard.videos[req.video_id];
   if (state.finalizing()) {
     return common::Status::FailedPrecondition(
         "IngestChat: stream is finalizing: " + req.video_id);
@@ -579,12 +627,8 @@ common::Result<FinalizeStreamResponse> HighlightServer::FinalizeStream(
     // stream watermark (the platform is immutable, no lock needed).
     double video_length = req.video_length;
     if (video_length <= 0.0) {
-      if (auto video = options_.platform->GetVideo(req.video_id);
-          video.ok()) {
-        video_length = video.value().truth.meta.length;
-      } else {
-        video_length = engine->stats().watermark;
-      }
+      video_length = options_.platform->VideoLength(req.video_id)
+                         .value_or(engine->stats().watermark);
     }
     auto dots = engine->Finalize(video_length, options_.top_k);
     auto lk = LockShard(shard);
@@ -612,10 +656,8 @@ common::Result<FinalizeStreamResponse> HighlightServer::FinalizeStream(
   common::Status persisted;
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
-    for (const auto& rec : final_dots.records) {
-      persisted = options_.db->PutHighlight(rec);
-      if (!persisted.ok()) break;
-    }
+    RescueWedgedLog();
+    persisted = options_.db->PutHighlight(final_dots.records);
   }
   FinalizeStreamResponse response;
   response.video_length = final_dots.video_length;
@@ -676,6 +718,7 @@ common::Status HighlightServer::LogSession(const LogSessionRequest& req) {
       return common::Status::OK();
     }
     if (have > 0) DuplicateSessionsCounter(kKind).Increment();
+    RescueWedgedLog();
     for (size_t i = have; i < req.events.size(); ++i) {
       const auto& ev = req.events[i];
       storage::InteractionRecord rec;
@@ -790,6 +833,7 @@ common::Result<RefineReport> HighlightServer::RefinePass(
     // the watermark advances past them, or a crash could lose records a
     // restarted server will never re-consume.
     if (options_.batched_session_flush) {
+      RescueWedgedLog();
       flush_status = options_.db->FlushInteractions();
     }
     if (flush_status.ok()) {
@@ -822,6 +866,7 @@ common::Result<RefineReport> HighlightServer::RefinePass(
   common::Status persist_status = common::Status::OK();
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
+    RescueWedgedLog();
     for (size_t i = 0; i < pass.updated.size(); ++i) {
       if (auto st = options_.db->PutHighlight(pass.updated[i]); !st.ok()) {
         pass.report.dots[i].status = st;
@@ -936,6 +981,16 @@ void HighlightServer::Shutdown() {
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
+  // First visits in flight hold no lock while they crawl and initialize;
+  // let them persist before the final flush and checkpoint.
+  for (auto& shard : shards_) {
+    auto lk = LockShard(*shard);
+    shard->first_visit_done.wait(lk, [&] {
+      return std::none_of(
+          shard->videos.begin(), shard->videos.end(),
+          [](const auto& entry) { return entry.second.initializing; });
+    });
+  }
   if (options_.batched_session_flush) {
     std::lock_guard<std::mutex> db_lock(db_mu_);
     if (auto st = options_.db->FlushInteractions(); !st.ok()) {
@@ -953,6 +1008,7 @@ void HighlightServer::Shutdown() {
     checkpoint_thread_.join();
     // Final checkpoint so the next open replays nothing (skipped when no
     // records landed since the last one).
+    std::lock_guard<std::mutex> db_lock(db_mu_);
     (void)CheckpointPass("shutdown", /*skip_if_clean=*/true);
   }
   // Live streams cannot be finalized without an authoritative length

@@ -53,7 +53,11 @@ namespace lightor::serving {
 ///   shard mutex → db mutex → queue mutex; never the reverse. The
 ///   database itself is guarded by one coarse mutex — the WAL serializes
 ///   writes anyway — while the snapshot cache keeps the hot read path off
-///   it entirely.
+///   it entirely. The first visit holds neither across its slow work: the
+///   video is marked `initializing` under the shard mutex, the crawl and
+///   the Initializer run with no lock held, the db mutex is taken only to
+///   read stored chat and to persist, and the snapshot is installed under
+///   the shard mutex again — never both locks at once.
 class HighlightServer {
  public:
   /// Validates `options` and starts the worker pool. The `lightor`
@@ -82,8 +86,10 @@ class HighlightServer {
   /// fresh log generation, and truncates the history (the full protocol
   /// lives in storage/checkpoint.h). The background trigger
   /// (`checkpoint_every_sessions` / `checkpoint_interval_seconds` in
-  /// ServerOptions) runs the same pass. Thread-safe; holds the db mutex
-  /// for the duration, so writes stall while the image is written.
+  /// ServerOptions) runs the same pass, and so does a write that finds a
+  /// log wedged by an earlier I/O error (the "rescue" trigger). Thread-
+  /// safe; holds the db mutex for the duration, so writes stall while the
+  /// image is written.
   common::Result<storage::CheckpointStats> Checkpoint();
 
   HighlightServer(const HighlightServer&) = delete;
@@ -91,8 +97,11 @@ class HighlightServer {
 
   /// A user opened a recorded-video page: serves the current snapshot,
   /// computing and persisting red dots on the video's first visit
-  /// (crawling the chat if needed). Thread-safe. For a video that is
-  /// still live the visit serves the provisional snapshot (possibly
+  /// (crawling the chat if needed). Thread-safe. The first visit is
+  /// single-flight: concurrent visits of the same video wait for its
+  /// snapshot (and retry the initialization if it failed), while visits
+  /// of every other video, same shard included, go on. For a video that
+  /// is still live the visit serves the provisional snapshot (possibly
   /// empty) instead of running the batch initializer.
   common::Result<PageVisitResponse> OnPageVisit(const PageVisitRequest& req);
 
@@ -155,7 +164,7 @@ class HighlightServer {
 
   /// Graceful shutdown with drain semantics: rejects new requests
   /// (FailedPrecondition), flushes pending refinements, joins the worker
-  /// pool. Idempotent.
+  /// pool, and waits for first visits in flight. Idempotent.
   void Shutdown();
 
   /// Lame-duck announcement: marks the server as draining (visible in
@@ -218,6 +227,10 @@ class HighlightServer {
     /// Dots a FinalizeStream computed but could not persist. The engine
     /// is spent, so the retried finalize re-puts exactly these.
     std::optional<FinalDots> unpersisted_final;
+    /// A first visit is crawling and initializing the video with no lock
+    /// held; other visits wait on `Shard::first_visit_done` and ingest is
+    /// refused.
+    bool initializing = false;
 
     /// Between the finalize claim and the final snapshot: reads serve the
     /// provisional dots and ingest is refused.
@@ -232,6 +245,8 @@ class HighlightServer {
     mutable std::mutex mu;
     /// Signalled when an in-flight refinement pass completes.
     std::condition_variable refine_done;
+    /// Signalled when a first visit clears its video's `initializing`.
+    std::condition_variable first_visit_done;
     /// Values are stable under rehash (node-based map) and never erased.
     std::unordered_map<std::string, VideoState> videos;
   };
@@ -254,14 +269,18 @@ class HighlightServer {
   /// Looks the video up in the shard map, loading its state from the
   /// database on first touch. Requires `lk` to hold `shard.mu`; takes
   /// db_mu_ internally. Returns nullptr when the video has no highlights
-  /// anywhere.
+  /// anywhere, and for a live or initializing video without a snapshot.
   VideoState* FindOrLoadState(Shard& shard, const std::string& video_id,
                               const std::unique_lock<std::mutex>& lk);
 
-  /// First-visit path: crawl + initialize + persist. Requires the shard
-  /// mutex held (blocks same-shard videos only).
-  common::Result<VideoState*> InitializeVideo(Shard& shard,
-                                              const std::string& video_id);
+  /// First-visit work of a video its caller marked `initializing`: reads
+  /// stored chat or fetches the crawl, runs the Initializer, then stores
+  /// the crawl and the dots under one db_mu_ hold. Requires no lock held;
+  /// the caller installs the returned snapshot (version 1). The
+  /// Initializer sees the chat in stored order, so the dots equal those a
+  /// restart recomputes from the database.
+  common::Result<std::shared_ptr<const Snapshot>> InitializeVideo(
+      const std::string& video_id);
 
   /// Converts red dots to servable highlight records (shared by the
   /// batch first-visit path, provisional publishes, and finalize).
@@ -310,12 +329,16 @@ class HighlightServer {
 
   void WorkerLoop();
 
-  /// One checkpoint run; `trigger` labels the metric ("explicit",
-  /// "sessions", "interval", "shutdown"). With `skip_if_clean`, a run
-  /// with no records since the last checkpoint is skipped (the timer
-  /// must not churn empty generations).
+  /// One checkpoint run; requires db_mu_ held. `trigger` labels the
+  /// metric ("explicit", "sessions", "interval", "shutdown", "rescue").
+  /// With `skip_if_clean`, a run with no records since the last
+  /// checkpoint is skipped (the timer must not churn empty generations).
   common::Result<storage::CheckpointStats> CheckpointPass(
       const char* trigger, bool skip_if_clean);
+  /// Called before a write, with db_mu_ held: when an earlier I/O error
+  /// wedged a log, runs one "rescue" checkpoint, whose fresh generation
+  /// un-wedges it. If that fails the write answers the wedge's IoError.
+  void RescueWedgedLog();
   /// Wakes the checkpoint thread (session-count trigger fired).
   void RequestCheckpoint();
   void CheckpointLoop();

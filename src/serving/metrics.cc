@@ -248,10 +248,13 @@ obs::Counter& CheckpointTriggerCounter(const char* trigger) {
       "lightor_serving_checkpoint_trigger_total", {{"trigger", "interval"}});
   static obs::Counter* const shutdown = obs::Registry::Global().GetCounter(
       "lightor_serving_checkpoint_trigger_total", {{"trigger", "shutdown"}});
+  static obs::Counter* const rescue = obs::Registry::Global().GetCounter(
+      "lightor_serving_checkpoint_trigger_total", {{"trigger", "rescue"}});
   const std::string_view t(trigger);
   if (t == "sessions") return *sessions;
   if (t == "interval") return *interval;
   if (t == "shutdown") return *shutdown;
+  if (t == "rescue") return *rescue;
   return *explicit_;
 }
 

@@ -66,7 +66,8 @@ obs::Gauge& ChannelActiveGauge();
 obs::Histogram& RefineLatencyHistogram();
 obs::Counter& RefineTriggerCounter(const char* trigger);
 /// Checkpoint passes by what fired them: "explicit" (API / admin
-/// endpoint), "sessions", "interval", "shutdown".
+/// endpoint), "sessions", "interval", "shutdown", "rescue" (a write found
+/// a log wedged by an earlier I/O error).
 obs::Counter& CheckpointTriggerCounter(const char* trigger);
 
 }  // namespace lightor::serving

@@ -57,8 +57,9 @@ common::Result<PageVisitResponse> WebService::OnPageVisit(
   }
   // The platform knows the true video length; fall back to the last
   // message when metadata is unavailable.
-  if (auto video = options_.platform->GetVideo(req.video_id); video.ok()) {
-    video_length = video.value().truth.meta.length;
+  if (auto length = options_.platform->VideoLength(req.video_id);
+      length.ok()) {
+    video_length = length.value();
   }
 
   auto dots =

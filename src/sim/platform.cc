@@ -81,6 +81,15 @@ common::Result<RecordedVideo> Platform::GetVideo(
   return it->second;
 }
 
+common::Result<double> Platform::VideoLength(
+    const std::string& video_id) const {
+  auto it = videos_.find(video_id);
+  if (it == videos_.end()) {
+    return common::Status::NotFound("unknown video: " + video_id);
+  }
+  return it->second.truth.meta.length;
+}
+
 common::Result<ChatLog> Platform::FetchChat(const std::string& video_id) const {
   auto it = videos_.find(video_id);
   if (it == videos_.end()) {

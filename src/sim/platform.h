@@ -60,6 +60,10 @@ class Platform {
   /// Full video record (NotFound for unknown ids).
   common::Result<RecordedVideo> GetVideo(const std::string& video_id) const;
 
+  /// The video's length in seconds (NotFound for unknown ids), without
+  /// copying the video.
+  common::Result<double> VideoLength(const std::string& video_id) const;
+
   /// The chat-crawl API used by storage::Crawler.
   common::Result<ChatLog> FetchChat(const std::string& video_id) const;
 

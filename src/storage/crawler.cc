@@ -1,5 +1,8 @@
 #include "storage/crawler.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/logging.h"
 #include "obs/metrics.h"
 
@@ -26,25 +29,49 @@ obs::Counter& VideosCrawledCounter() {
 Crawler::Crawler(const sim::Platform* platform, Database* db)
     : platform_(platform), db_(db) {}
 
-common::Result<bool> Crawler::EnsureChat(const std::string& video_id) {
-  if (db_->chat().HasVideo(video_id)) {
-    ChatCacheCounter(/*hit=*/true).Increment();
-    return false;
-  }
-  ChatCacheCounter(/*hit=*/false).Increment();
+bool Crawler::HasChat(const std::string& video_id) {
+  const bool stored = db_->chat().HasVideo(video_id);
+  ChatCacheCounter(/*hit=*/stored).Increment();
+  return stored;
+}
+
+common::Result<std::vector<ChatRecord>> Crawler::Fetch(
+    const std::string& video_id) const {
   auto chat = platform_->FetchChat(video_id);
   if (!chat.ok()) return chat.status();
-  for (const auto& msg : chat.value()) {
+  std::vector<ChatRecord> records;
+  records.reserve(chat.value().size());
+  for (auto& msg : chat.value()) {
     ChatRecord rec;
     rec.video_id = video_id;
     rec.timestamp = msg.timestamp;
-    rec.user = msg.user;
-    rec.text = msg.text;
-    LIGHTOR_RETURN_IF_ERROR(db_->PutChat(rec));
+    rec.user = std::move(msg.user);
+    rec.text = std::move(msg.text);
+    records.push_back(std::move(rec));
   }
+  // ChatStore::GetByVideo's order, so a reader of the fetched records
+  // sees what a reader of the stored ones will.
+  std::stable_sort(records.begin(), records.end(),
+                   [](const ChatRecord& a, const ChatRecord& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  return records;
+}
+
+common::Status Crawler::Store(std::vector<ChatRecord> records) {
+  const size_t messages = records.size();
+  const std::string video_id = messages > 0 ? records.front().video_id : "";
+  if (messages > 0) LIGHTOR_RETURN_IF_ERROR(db_->PutChat(std::move(records)));
   VideosCrawledCounter().Increment();
-  LIGHTOR_LOG(Debug) << "crawler: fetched " << chat.value().size()
+  LIGHTOR_LOG(Debug) << "crawler: stored " << messages
                      << " chat messages for " << video_id;
+  return common::Status::OK();
+}
+
+common::Result<bool> Crawler::EnsureChat(const std::string& video_id) {
+  if (HasChat(video_id)) return false;
+  LIGHTOR_ASSIGN_OR_RETURN(auto records, Fetch(video_id));
+  LIGHTOR_RETURN_IF_ERROR(Store(std::move(records)));
   return true;
 }
 

@@ -85,6 +85,25 @@ bool ParseCheckpointName(const std::string& name, uint64_t* gen) {
   return true;
 }
 
+/// Appends every record to `log` with one flush, then indexes them in
+/// `store`: all or none, since a failed append wedges the log and no
+/// record of the batch reaches the store.
+template <typename Record, typename Store>
+common::Status AppendAndIndex(AppendLog& log, Store& store, const char* name,
+                              std::vector<Record> records, uint64_t& lsn) {
+  std::vector<std::vector<uint8_t>> frames;
+  frames.reserve(records.size());
+  for (const Record& record : records) frames.push_back(record.Encode());
+  if (auto st = log.AppendMany(frames); !st.ok()) {
+    DbWriteErrorsCounter(name).Increment();
+    return st;
+  }
+  for (Record& record : records) store.Put(std::move(record));
+  lsn += records.size();
+  DbWritesCounter(name).Increment(records.size());
+  return common::Status::OK();
+}
+
 bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -243,15 +262,8 @@ common::Result<size_t> Database::CompactHighlights() {
   return highlights_.TotalRecords();
 }
 
-common::Status Database::PutChat(const ChatRecord& record) {
-  if (auto st = chat_log_.Append(record.Encode()); !st.ok()) {
-    DbWriteErrorsCounter("chat").Increment();
-    return st;
-  }
-  chat_.Put(record);
-  ++lsn_;
-  DbWritesCounter("chat").Increment();
-  return common::Status::OK();
+common::Status Database::PutChat(std::vector<ChatRecord> records) {
+  return AppendAndIndex(chat_log_, chat_, "chat", std::move(records), lsn_);
 }
 
 common::Status Database::PutInteraction(const InteractionRecord& record) {
@@ -265,15 +277,9 @@ common::Status Database::PutInteraction(const InteractionRecord& record) {
   return common::Status::OK();
 }
 
-common::Status Database::PutHighlight(const HighlightRecord& record) {
-  if (auto st = highlight_log_.Append(record.Encode()); !st.ok()) {
-    DbWriteErrorsCounter("highlights").Increment();
-    return st;
-  }
-  highlights_.Put(record);
-  ++lsn_;
-  DbWritesCounter("highlights").Increment();
-  return common::Status::OK();
+common::Status Database::PutHighlight(std::vector<HighlightRecord> records) {
+  return AppendAndIndex(highlight_log_, highlights_, "highlights",
+                        std::move(records), lsn_);
 }
 
 }  // namespace lightor::storage

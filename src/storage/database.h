@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "storage/checkpoint.h"
@@ -82,9 +83,31 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  common::Status PutChat(const ChatRecord& record);
+  /// Appends `records` (typically one video's crawl) to the chat log with
+  /// one flush (AppendLog::AppendMany), then indexes them. All or none
+  /// reach the store: after an error the chat log is wedged and no record
+  /// of the batch is readable, so a failed crawl leaves no partial chat.
+  common::Status PutChat(std::vector<ChatRecord> records);
+  /// One record: a one-element `PutChat` batch.
+  common::Status PutChat(const ChatRecord& record) {
+    return PutChat(std::vector<ChatRecord>{record});
+  }
   common::Status PutInteraction(const InteractionRecord& record);
-  common::Status PutHighlight(const HighlightRecord& record);
+  /// A video's dots, with one flush and all or none readable, as for
+  /// `PutChat`: a failed write never leaves a partial dot set to serve.
+  common::Status PutHighlight(std::vector<HighlightRecord> records);
+  /// One record: a one-element `PutHighlight` batch.
+  common::Status PutHighlight(const HighlightRecord& record) {
+    return PutHighlight(std::vector<HighlightRecord>{record});
+  }
+
+  /// True when an I/O error has wedged any of the three logs: every
+  /// write to it fails until a `Checkpoint()` starts a fresh generation
+  /// (or the database is reopened).
+  bool wedged() const {
+    return chat_log_.wedged() || interaction_log_.wedged() ||
+           highlight_log_.wedged();
+  }
 
   /// Batched-flush mode for the interaction log (the write-heavy session
   /// path): `PutInteraction` stops flushing per record and durability
@@ -94,6 +117,7 @@ class Database {
     interaction_log_.set_flush_each_append(flush_each);
   }
   common::Status FlushInteractions() { return interaction_log_.Flush(); }
+  bool interactions_wedged() const { return interaction_log_.wedged(); }
 
   /// Snapshots the live state and rotates to a fresh log generation (the
   /// full protocol lives in checkpoint.h). Uses the policy from

@@ -81,7 +81,8 @@ common::Result<AppendLog::ReplayStats> AppendLog::OpenAndReplay(
   return stats;
 }
 
-common::Status AppendLog::Append(const std::vector<uint8_t>& payload) {
+common::Status AppendLog::AppendMany(
+    std::span<const std::vector<uint8_t>> payloads) {
   if (file_ == nullptr) {
     return common::Status::FailedPrecondition("AppendLog: not open");
   }
@@ -90,15 +91,17 @@ common::Status AppendLog::Append(const std::vector<uint8_t>& payload) {
         "AppendLog: wedged by an earlier I/O error, reopen to recover: " +
         path_);
   }
-  Encoder frame;
-  frame.PutU32(static_cast<uint32_t>(payload.size()));
-  frame.PutU32(Crc32(payload.data(), payload.size()));
-  if (auto st = file_->Append(frame.bytes()); !st.ok()) {
-    return Wedge(std::move(st));
-  }
-  if (!payload.empty()) {
-    if (auto st = file_->Append(payload); !st.ok()) {
+  for (const std::vector<uint8_t>& payload : payloads) {
+    Encoder frame;
+    frame.PutU32(static_cast<uint32_t>(payload.size()));
+    frame.PutU32(Crc32(payload.data(), payload.size()));
+    if (auto st = file_->Append(frame.bytes()); !st.ok()) {
       return Wedge(std::move(st));
+    }
+    if (!payload.empty()) {
+      if (auto st = file_->Append(payload); !st.ok()) {
+        return Wedge(std::move(st));
+      }
     }
   }
   if (flush_each_) return Flush();

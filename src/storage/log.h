@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,11 +76,20 @@ class AppendLog {
       const std::function<void(const std::vector<uint8_t>&)>& visitor,
       Env* env = nullptr);
 
-  /// Appends one framed record. Flushes immediately in the default
-  /// per-record mode; in batched mode (`set_flush_each_append(false)`)
-  /// the record sits in the application buffer until `Flush()` or
-  /// `Close()`.
-  common::Status Append(const std::vector<uint8_t>& payload);
+  /// Appends one framed record: `AppendMany` of one payload.
+  common::Status Append(const std::vector<uint8_t>& payload) {
+    return AppendMany({&payload, 1});
+  }
+
+  /// Appends every payload as its own frame ("append many, flush once"):
+  /// the bytes are those of one `Append` per payload, but the default
+  /// per-record mode flushes once, after the last frame. In batched mode
+  /// (`set_flush_each_append(false)`) the frames sit in the application
+  /// buffer until `Flush()` or `Close()`. A failure anywhere wedges the
+  /// log and discards the buffer, so no frame of the batch is acked.
+  /// Frames a full buffer already spilled to the kernel stay in the file
+  /// until a checkpoint rotates it; a restart before that replays them.
+  common::Status AppendMany(std::span<const std::vector<uint8_t>> payloads);
 
   /// Pushes buffered appends to the kernel — or to the platter when
   /// `sync_on_flush` is set. No-op when nothing is pending.

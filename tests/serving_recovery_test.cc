@@ -368,6 +368,151 @@ TEST_F(ServingRecoveryTest, FinalizeSurvivesHighlightWriteError) {
   }
 }
 
+// A storage error mid-crawl must not leave a prefix of the chat behind
+// to be served as the video's chat. The first visit answers 503 with no
+// record of the crawl readable; the retry rescues the wedged chat log and
+// serves the dots the batch Initializer computes over the full chat; a
+// restart loads the full chat (which re-initializes to the same dots) and
+// those dots.
+TEST_F(ServingRecoveryTest, FailedCrawlLeavesNoPartialChat) {
+  const auto video = platform_->GetVideo(video_id_).value();
+  const std::vector<core::Message> chat = sim::ToCoreMessages(video.chat);
+  ASSERT_GT(chat.size(), 101u);
+  const auto batch =
+      lightor_->Initialize(chat, video.truth.meta.length, /*top_k=*/5);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_FALSE(batch.value().empty());
+  std::vector<storage::HighlightRecord> served;
+  {
+    auto db = OpenDb();
+    auto server = MakeServer(db.get());
+    net::Router routes = net::BuildRoutes(server.get());
+    int error_status = 0;
+    const net::HttpHandler* handler =
+        routes.Find("POST", "/visit", &error_status);
+    ASSERT_NE(handler, nullptr);
+    const std::string body = net::EncodeJson(PageVisitRequest{video_id_, "u"});
+    net::HttpRequest wire;
+    wire.method = "POST";
+    wire.path = "/visit";
+    wire.body = body;
+    // The crawl is the visit's first I/O: two appends per message (frame
+    // header, payload), then one flush. Disk full at the 101st message.
+    env_.InjectAt(env_.io_points() + 2 * 100, ft::FaultKind::kEnospc);
+    EXPECT_EQ((*handler)(wire).status, 503);
+    EXPECT_FALSE(db->chat().HasVideo(video_id_));
+    EXPECT_FALSE(db->highlights().HasVideo(video_id_));
+
+    auto retried = server->OnPageVisit({video_id_, "u"});
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    EXPECT_TRUE(retried.value().first_visit);
+    served = retried.value().highlights;
+    ASSERT_EQ(served.size(), batch.value().size());
+    for (size_t i = 0; i < served.size(); ++i) {
+      EXPECT_EQ(served[i].dot_position, batch.value()[i].position)
+          << "dot " << i;
+      EXPECT_EQ(served[i].score, batch.value()[i].score) << "dot " << i;
+    }
+    EXPECT_EQ(db->chat().GetByVideo(video_id_).size(), chat.size());
+    server->Shutdown();
+    env_.RecoverAfterCrash(ft::CrashModel::kProcess);
+  }
+
+  auto db = OpenDb();
+  const auto& stored = db->chat().GetByVideo(video_id_);
+  ASSERT_EQ(stored.size(), chat.size());
+  std::vector<core::Message> replayed;
+  for (const auto& rec : stored) {
+    replayed.push_back({rec.timestamp, rec.user, rec.text});
+  }
+  const auto again =
+      lightor_->Initialize(replayed, video.truth.meta.length, /*top_k=*/5);
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(again.value().size(), served.size());
+  for (size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(again.value()[i].position, served[i].dot_position)
+        << "dot " << i;
+  }
+  auto server = MakeServer(db.get());
+  auto loaded = server->GetHighlights(video_id_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().highlights, served);
+}
+
+// The same for the dots: a write error between the first dot and the last
+// must not leave a partial dot set that later visits serve as the video's
+// highlights. The visit answers 503 with no dot readable, and the retry
+// serves every dot of the batch Initializer.
+TEST_F(ServingRecoveryTest, FailedDotWriteLeavesNoPartialDots) {
+  const auto video = platform_->GetVideo(video_id_).value();
+  const auto batch = lightor_->Initialize(sim::ToCoreMessages(video.chat),
+                                          video.truth.meta.length,
+                                          /*top_k=*/5);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_GT(batch.value().size(), 1u);
+  auto db = OpenDb();
+  auto server = MakeServer(db.get());
+  // The crawl takes two appends per message and one flush; the dots come
+  // next, two appends each. Disk full at the second dot.
+  env_.InjectAt(env_.io_points() + 2 * video.chat.size() + 1 + 2,
+                ft::FaultKind::kEnospc);
+  auto failed = server->OnPageVisit({video_id_, "u"});
+  EXPECT_TRUE(failed.status().IsIoError()) << failed.status().ToString();
+  EXPECT_TRUE(db->chat().HasVideo(video_id_));
+  EXPECT_FALSE(db->highlights().HasVideo(video_id_));
+  EXPECT_TRUE(server->GetHighlights(video_id_).status().IsNotFound());
+
+  auto retried = server->OnPageVisit({video_id_, "u"});
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_TRUE(retried.value().first_visit);
+  ASSERT_EQ(retried.value().highlights.size(), batch.value().size());
+  for (size_t i = 0; i < batch.value().size(); ++i) {
+    EXPECT_EQ(retried.value().highlights[i].dot_position,
+              batch.value()[i].position)
+        << "dot " << i;
+  }
+}
+
+// A wedged log is rescued by the next write, with no explicit
+// Checkpoint(). In batched session-flush mode a failed flush wedges the
+// interaction log; the retried Refine runs one "rescue" checkpoint, whose
+// image comes from the stores and so holds every acked session, and then
+// consumes them all. Every acked session survives a process crash.
+TEST_F(ServingRecoveryTest, WedgedLogIsRescuedByTheNextWrite) {
+  auto* rescues = obs::Registry::Global().GetCounter(
+      "lightor_serving_checkpoint_trigger_total", {{"trigger", "rescue"}});
+  const uint64_t rescues_before = rescues->value();
+  uint64_t acked = 0;
+  {
+    auto db = OpenDb();
+    ServerOptions opts;
+    opts.batched_session_flush = true;
+    auto server = MakeServer(db.get(), opts);
+    ASSERT_TRUE(server->OnPageVisit({video_id_, "u"}).ok());
+    acked = LogSessions(server.get(), 3, 87);
+    ASSERT_GT(acked, 0u);
+
+    // The next I/O point is the refine pass's flush of the buffered
+    // sessions.
+    env_.InjectAt(env_.io_points(), ft::FaultKind::kEnospc);
+    EXPECT_FALSE(server->Refine(video_id_).ok());
+    EXPECT_EQ(rescues->value(), rescues_before);
+
+    auto report = server->Refine(video_id_);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report.value().sessions_consumed, acked);
+    EXPECT_EQ(rescues->value(), rescues_before + 1);
+
+    const uint64_t later = LogSessions(server.get(), 2, 88);
+    ASSERT_GT(later, 0u);
+    acked += later;
+    server->Shutdown();  // flushes the batched sessions
+    env_.RecoverAfterCrash(ft::CrashModel::kProcess);
+  }
+  auto db = OpenDb();
+  EXPECT_EQ(db->interactions().SessionsForVideo(video_id_).size(), acked);
+}
+
 // Checkpointed restart: after refine + checkpoint + a post-checkpoint
 // burst, a SIGKILL restart loads the checkpoint, replays only the log
 // suffix, serves byte-identical /highlights, and the first refinement

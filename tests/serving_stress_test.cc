@@ -9,6 +9,9 @@
 ///     monotonically non-decreasing versions per client;
 ///   * the drain consumes every pending batch before shutdown.
 ///
+/// A second test races first visits: the crawl and the Initializer run
+/// once per video however many visits arrive together.
+///
 /// ci.sh also runs this binary under ThreadSanitizer
 /// (-DLIGHTOR_SANITIZE=thread); keep the workload modest so that build
 /// stays fast on small machines.
@@ -18,6 +21,8 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <latch>
+#include <mutex>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +30,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serving/highlight_server.h"
 #include "sim/bridge.h"
 #include "sim/corpus.h"
@@ -257,6 +263,110 @@ TEST(ServingStressTest, ShutdownRacesWithClients) {
             events_accepted.load());
   (void)saw_rejection;  // timing-dependent; either outcome is valid
 
+  std::filesystem::remove_all(dir);
+}
+
+/// Single-flight first visits: threads visit two cold videos on the one
+/// shard at once. Each video is crawled, initialized and persisted
+/// exactly once; the other visits wait for that snapshot and serve it.
+TEST(ServingStressTest, ConcurrentFirstVisitsRunOnce) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       "lightor_serving_stress_first_visit")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  sim::Platform::Options popts;
+  popts.num_channels = 1;
+  popts.videos_per_channel = 2;
+  popts.seed = 95;
+  const sim::Platform platform(popts);
+
+  const auto corpus = sim::MakeCorpus(sim::GameType::kDota2, 1, 96);
+  core::TrainingVideo tv;
+  tv.messages = sim::ToCoreMessages(corpus[0].chat);
+  tv.video_length = corpus[0].truth.meta.length;
+  for (const auto& h : corpus[0].truth.highlights) {
+    tv.highlights.push_back(h.span);
+  }
+  core::Lightor lightor;
+  ASSERT_TRUE(lightor.TrainInitializer({tv}).ok());
+
+  auto opened = storage::DB::Open(storage::OpenOptions(dir));
+  ASSERT_TRUE(opened.ok());
+  auto db = std::move(opened.value().db);
+
+  ServerOptions opts;
+  opts.platform = Borrow(&platform);
+  opts.db = Borrow(db.get());
+  opts.lightor = Borrow<const core::Lightor>(&lightor);
+  opts.num_shards = 1;  // both videos share the shard
+  auto created = HighlightServer::Create(opts);
+  ASSERT_TRUE(created.ok());
+  HighlightServer& server = *created.value();
+
+  const auto ids = platform.AllVideoIds();
+  ASSERT_EQ(ids.size(), 2u);
+  auto* crawled = obs::Registry::Global().GetCounter(
+      "lightor_storage_videos_crawled_total");
+  const uint64_t crawled_before = crawled->value();
+
+  // responses[v] collects every visit response for ids[v].
+  std::vector<std::vector<PageVisitResponse>> responses(ids.size());
+  std::mutex responses_mu;
+  std::atomic<int> failures{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (size_t i = 0; i < ids.size(); ++i) {
+        const size_t v = (i + static_cast<size_t>(t)) % ids.size();
+        auto visit = server.OnPageVisit({ids[v], "race"});
+        if (!visit.ok()) {
+          ++failures;
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(responses_mu);
+        responses[v].push_back(std::move(visit).value());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  EXPECT_EQ(crawled->value() - crawled_before, ids.size());
+  size_t chat_total = 0;
+  for (size_t v = 0; v < ids.size(); ++v) {
+    SCOPED_TRACE(ids[v]);
+    ASSERT_EQ(responses[v].size(), static_cast<size_t>(kThreads));
+    // Exactly one visit ran the Initializer; every visit served its
+    // snapshot, version 1 (first_visit aside, the same response body).
+    size_t initialized = 0;
+    for (const auto& response : responses[v]) {
+      if (response.first_visit) ++initialized;
+      EXPECT_EQ(response.snapshot_version, 1u);
+      EXPECT_FALSE(response.provisional);
+      EXPECT_EQ(response.highlights, responses[v][0].highlights);
+    }
+    EXPECT_EQ(initialized, 1u);
+
+    // Persisted once: top_k dots with one version each, and the full
+    // crawl in the chat store.
+    const auto dots = db->highlights().GetLatest(ids[v]);
+    EXPECT_EQ(dots.size(), opts.top_k);
+    EXPECT_EQ(dots, responses[v][0].highlights);
+    for (const auto& dot : dots) {
+      EXPECT_EQ(db->highlights().GetHistory(ids[v], dot.dot_index).size(),
+                1u);
+    }
+    const size_t messages = platform.GetVideo(ids[v]).value().chat.size();
+    EXPECT_EQ(db->chat().GetByVideo(ids[v]).size(), messages);
+    chat_total += messages;
+  }
+  EXPECT_EQ(db->chat().TotalRecords(), chat_total);
+
+  server.Shutdown();
   std::filesystem::remove_all(dir);
 }
 

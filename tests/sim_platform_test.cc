@@ -47,8 +47,12 @@ TEST(PlatformTest, GetVideoAndChat) {
   auto chat = platform.FetchChat(ids[0]);
   ASSERT_TRUE(chat.ok());
   EXPECT_EQ(chat.value().size(), video.value().chat.size());
+  auto length = platform.VideoLength(ids[0]);
+  ASSERT_TRUE(length.ok());
+  EXPECT_EQ(length.value(), video.value().truth.meta.length);
   EXPECT_TRUE(platform.GetVideo("missing").status().IsNotFound());
   EXPECT_TRUE(platform.FetchChat("missing").status().IsNotFound());
+  EXPECT_TRUE(platform.VideoLength("missing").status().IsNotFound());
 }
 
 TEST(PlatformTest, PopularChannelsHaveDenserChat) {
