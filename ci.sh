@@ -275,7 +275,7 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
   echo "== thread sanitizer: serving + net + obs tests ($TSAN_BUILD_DIR) =="
   cmake -B "$TSAN_BUILD_DIR" -S . -DLIGHTOR_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_BUILD_DIR" -j --target \
-      serving_server_test serving_stress_test \
+      serving_server_test serving_deployment_test serving_stress_test \
       serving_stream_test serving_stream_stress_test \
       serving_recovery_test serving_fairness_test \
       net_server_test net_loadgen_test net_trace_test \
@@ -291,16 +291,16 @@ fi
 # the channel scheduler's deadline heap hands string ids across threads:
 # run their tests under AddressSanitizer + UBSan.
 if [ "${SKIP_ASAN:-0}" != "1" ]; then
-  echo "== address+ub sanitizer: storage + fault + recovery + json + fairness tests ($ASAN_BUILD_DIR) =="
+  echo "== address+ub sanitizer: storage + fault + deployment + recovery + json + fairness tests ($ASAN_BUILD_DIR) =="
   cmake -B "$ASAN_BUILD_DIR" -S . -DLIGHTOR_SANITIZE=address,undefined \
       >/dev/null
   cmake --build "$ASAN_BUILD_DIR" -j --target \
       storage_serialize_test storage_log_test storage_stores_test \
       storage_database_test storage_compaction_test \
-      storage_webservice_test storage_faults_test storage_checkpoint_test \
-      serving_recovery_test serving_fairness_test property_test \
-      hotpath_diff_test net_json_test
+      storage_faults_test storage_checkpoint_test \
+      serving_deployment_test serving_recovery_test serving_fairness_test \
+      property_test hotpath_diff_test net_json_test
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
-      -R '^(storage_|serving_recovery|serving_fairness|property|hotpath_diff|net_json)'
+      -R '^(storage_|serving_deployment|serving_recovery|serving_fairness|property|hotpath_diff|net_json)'
 fi
 echo "ci: OK"

@@ -6,10 +6,10 @@
 /// This example crawls one channel's recent videos, checks the
 /// applicability thresholds (Fig. 9), and prints a per-video highlight
 /// candidate list for the broadcaster's editing queue. The candidates
-/// come from the single-threaded reference WebService — each dashboard
-/// row is one `OnPageVisit` against the serving API, so the red dots the
-/// broadcaster sees are exactly what viewers get (crawled, initialized
-/// and persisted through the same path).
+/// come from the `HighlightServer` — each dashboard row is one
+/// `OnPageVisit` against the serving API, so the red dots the broadcaster
+/// sees are exactly what viewers get (crawled, initialized and persisted
+/// through the same path).
 
 #include <cstdio>
 #include <filesystem>
@@ -18,7 +18,7 @@
 #include "common/csv.h"
 #include "common/strings.h"
 #include "core/lightor.h"
-#include "serving/web_service.h"
+#include "serving/highlight_server.h"
 #include "sim/bridge.h"
 #include "sim/corpus.h"
 #include "sim/platform.h"
@@ -66,7 +66,13 @@ int main() {
   sopts.db = std::shared_ptr<storage::Database>(std::move(db.value().db));
   sopts.lightor = serving::Borrow(&lightor);
   sopts.top_k = 3;
-  serving::WebService service(sopts);
+  auto server = serving::HighlightServer::Create(sopts);
+  if (!server.ok()) {
+    std::fprintf(stderr, "server start failed: %s\n",
+                 server.status().ToString().c_str());
+    return 1;
+  }
+  serving::HighlightServer& service = *server.value();
 
   common::TextTable table({"video", "length", "msgs/hour", "viewers",
                            "applicable", "top highlight candidates"});
@@ -97,6 +103,7 @@ int main() {
   std::printf(
       "\nthe broadcaster can now jump straight to each candidate and cut "
       "the clip\ninstead of scrubbing through hours of VOD.\n");
+  service.Shutdown();
   std::filesystem::remove_all(db_dir);
   return 0;
 }

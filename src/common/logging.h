@@ -28,7 +28,7 @@ bool ParseLogLevel(std::string_view name, LogLevel* out);
 bool SetLogLevelFromString(std::string_view name);
 
 /// Per-component minimum levels. The component of a statement is the
-/// source directory of its file: ".../src/storage/web_service.cc" →
+/// source directory of its file: ".../src/storage/crawler.cc" →
 /// "storage", a file outside src/ → its parent directory name. A
 /// component override wins over the global level in both directions
 /// (e.g. debug-only storage while everything else stays at info).

@@ -26,9 +26,7 @@ std::shared_ptr<T> Borrow(T* ptr) {
   return std::shared_ptr<T>(ptr, [](T*) {});
 }
 
-/// Configuration shared by the concurrent `HighlightServer` and the
-/// single-threaded reference `WebService`. Replaces the old four-argument
-/// raw-pointer constructors.
+/// Configuration of a `HighlightServer`.
 struct ServerOptions {
   /// Dependencies. Either borrowed (`Borrow(&x)`, caller keeps `x` alive
   /// for the service's lifetime) or owned (a plain `shared_ptr`). The
@@ -40,7 +38,7 @@ struct ServerOptions {
   /// Red dots published per video.
   size_t top_k = 5;
 
-  // --- Concurrency knobs (HighlightServer only; WebService ignores) ---
+  // --- Concurrency knobs ---
 
   /// Striped per-video state shards. Requests for videos on different
   /// shards never contend on server state.
@@ -61,7 +59,7 @@ struct ServerOptions {
   /// closed so far); large values serve staler provisional dots.
   size_t stream_refresh_messages = 64;
 
-  // --- Multi-channel live ingest (HighlightServer only) ---
+  // --- Multi-channel live ingest ---
 
   /// Ingest drain worker threads. 0 (the default) keeps the synchronous
   /// path: `IngestChat` feeds the engine before returning. > 0 switches
@@ -97,10 +95,10 @@ struct ServerOptions {
   /// flushes before every refinement pass consumes a batch and at
   /// shutdown. Keeps the per-record flush default (zero-loss recovery)
   /// for everything else; a crash loses at most the sessions logged
-  /// since the last refinement pass. HighlightServer only.
+  /// since the last refinement pass.
   bool batched_session_flush = false;
 
-  // --- Background checkpointing (HighlightServer only) ---
+  // --- Background checkpointing ---
 
   /// Run a storage checkpoint (snapshot live state, rotate and truncate
   /// the logs — see storage/checkpoint.h) after this many logged
@@ -109,14 +107,6 @@ struct ServerOptions {
   /// Also checkpoint on a timer: every this many seconds, when records
   /// were written since the last checkpoint. 0 disables the timer.
   double checkpoint_interval_seconds = 0.0;
-
-  /// On construction, mark every video whose stored dots have already
-  /// been refined (iteration > 0) as having consumed all interactions
-  /// currently in the database, so a restarted service does not re-feed
-  /// already-consumed sessions into `Refine`. Trade-off: sessions logged
-  /// after the last pre-restart pass are skipped too (at-most-once
-  /// consumption across restarts).
-  bool seed_watermarks_from_db = true;
 
   /// Validates the dependency pointers and knob ranges.
   common::Status Validate() const {
@@ -168,8 +158,8 @@ struct PageVisitResponse {
   /// True when this visit ran the Highlight Initializer (first visit).
   bool first_visit = false;
   /// Version of the served highlight snapshot; strictly increases with
-  /// every refinement pass of the video. 0 when served straight from the
-  /// database (reference WebService).
+  /// every refinement pass of the video. 0 only on the empty response of
+  /// a live video before its first provisional publish.
   uint64_t snapshot_version = 0;
   /// True while the video is a live stream: the dots come from the
   /// incremental engine's rolling scores and will be atomically replaced
@@ -231,15 +221,16 @@ struct LogSessionRequest {
 /// Current highlights of a video.
 struct GetHighlightsResponse {
   std::vector<storage::HighlightRecord> highlights;
-  uint64_t snapshot_version = 0;  ///< 0 when served straight from the DB
+  uint64_t snapshot_version = 0;  ///< 0 while live and unpublished
   bool provisional = false;       ///< live-stream dots, not yet finalized
 };
 
 /// Outcome of one refinement pass for one red dot.
 struct DotRefineOutcome {
   int32_t dot_index = 0;
-  /// Non-OK when persisting this dot's update failed; the pass continues
-  /// with the remaining dots.
+  /// Always OK in a returned report: a pass persists its dots all or
+  /// none and fails whole on a storage error. Kept so the `/refine` body
+  /// keeps its shape.
   common::Status status;
   /// True when the pass had plays for this dot and re-published it.
   bool updated = false;

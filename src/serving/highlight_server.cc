@@ -15,8 +15,6 @@
 namespace lightor::serving {
 
 namespace {
-constexpr ServerKind kKind = ServerKind::kConcurrent;
-
 common::Status ShuttingDown(const char* endpoint) {
   return common::Status::FailedPrecondition(
       std::string("HighlightServer: shutting down, rejected ") + endpoint);
@@ -56,12 +54,9 @@ HighlightServer::HighlightServer(ServerOptions options)
   }
   // Restart dedupe happens eagerly, before any request can race it:
   // videos refined in a previous process have consumed everything
-  // currently in the interaction log (see api.h for the trade-off).
-  if (options_.seed_watermarks_from_db) {
-    for (auto& [video_id, watermark] : SeedWatermarksFromDb(*options_.db)) {
-      Shard& shard = ShardFor(video_id);
-      shard.videos[video_id].watermark = watermark;
-    }
+  // currently in the interaction log (see refine.h for the trade-off).
+  for (auto& [video_id, watermark] : SeedWatermarksFromDb(*options_.db)) {
+    ShardFor(video_id).videos[video_id].watermark = watermark;
   }
   // The per-channel admission + DRR tier. Always constructed: with
   // ingest_workers == 0 it is admission-only (and free when no budget is
@@ -312,8 +307,8 @@ common::Result<PageVisitResponse> HighlightServer::OnPageVisit(
     return ShuttingDown("OnPageVisit");
   }
   obs::ScopedSpan span("serving.OnPageVisit");
-  obs::ScopedTimer timer(&RequestLatency("page_visit", kKind));
-  PageVisitsCounter(kKind).Increment();
+  obs::ScopedTimer timer(&RequestLatency("page_visit"));
+  PageVisitsCounter().Increment();
 
   Shard& shard = ShardFor(req.video_id);
   PageVisitResponse response;
@@ -321,7 +316,7 @@ common::Result<PageVisitResponse> HighlightServer::OnPageVisit(
     auto lk = LockShard(shard);
     for (;;) {
       if (VideoState* state = FindOrLoadState(shard, req.video_id, lk)) {
-        DotCacheCounter(kKind, /*hit=*/true).Increment();
+        DotCacheCounter(/*hit=*/true).Increment();
         response.highlights = state->snapshot->records;
         response.snapshot_version = state->snapshot->version;
         response.provisional = state->snapshot->provisional;
@@ -346,7 +341,7 @@ common::Result<PageVisitResponse> HighlightServer::OnPageVisit(
   }
   // Crawl, Initialize and persist with no shard lock held: reads of the
   // shard's other videos go on, and so do first visits elsewhere.
-  DotCacheCounter(kKind, /*hit=*/false).Increment();
+  DotCacheCounter(/*hit=*/false).Increment();
   auto snapshot = InitializeVideo(req.video_id);
   {
     auto lk = LockShard(shard);
@@ -696,9 +691,9 @@ common::Status HighlightServer::LogSession(const LogSessionRequest& req) {
   if (!accepting_.load(std::memory_order_acquire)) {
     return ShuttingDown("LogSession");
   }
-  obs::ScopedTimer timer(&RequestLatency("log_session", kKind));
-  SessionsLoggedCounter(kKind).Increment();
-  InteractionEventsCounter(kKind).Increment(req.events.size());
+  obs::ScopedTimer timer(&RequestLatency("log_session"));
+  SessionsLoggedCounter().Increment();
+  InteractionEventsCounter().Increment(req.events.size());
   {
     // The durable write is the dominant cost of this endpoint; charge it
     // to the storage_flush stage of the in-flight request's trace.
@@ -714,10 +709,10 @@ common::Status HighlightServer::LogSession(const LogSessionRequest& req) {
     const size_t have = options_.db->interactions().SessionEventCount(
         req.video_id, req.session_id);
     if (have >= req.events.size()) {
-      DuplicateSessionsCounter(kKind).Increment();
+      DuplicateSessionsCounter().Increment();
       return common::Status::OK();
     }
-    if (have > 0) DuplicateSessionsCounter(kKind).Increment();
+    if (have > 0) DuplicateSessionsCounter().Increment();
     RescueWedgedLog();
     for (size_t i = have; i < req.events.size(); ++i) {
       const auto& ev = req.events[i];
@@ -764,7 +759,7 @@ common::Status HighlightServer::LogSession(const LogSessionRequest& req) {
 
 common::Result<GetHighlightsResponse> HighlightServer::GetHighlights(
     const std::string& video_id) {
-  obs::ScopedTimer timer(&RequestLatency("get_highlights", kKind));
+  obs::ScopedTimer timer(&RequestLatency("get_highlights"));
   Shard& shard = ShardFor(video_id);
   auto lk = LockShard(shard);
   VideoState* state = FindOrLoadState(shard, video_id, lk);
@@ -794,15 +789,16 @@ common::Result<RefineReport> HighlightServer::Refine(
 common::Result<RefineReport> HighlightServer::RefinePass(
     const std::string& video_id, const char* trigger) {
   obs::ScopedSpan span("serving.RefinePass");
-  obs::ScopedTimer timer(&RequestLatency("refine", kKind));
+  obs::ScopedTimer timer(&RequestLatency("refine"));
   obs::ScopedTimer refine_timer(&RefineLatencyHistogram());
-  RefinePassesCounter(kKind).Increment();
+  RefinePassesCounter().Increment();
   RefineTriggerCounter(trigger).Increment();
 
   // Claim the video: one pass at a time per video, so two passes never
   // consume the same watermark range or publish out of order.
   Shard& shard = ShardFor(video_id);
   uint64_t watermark = 0;
+  size_t claimed_pending = 0;
   std::shared_ptr<const Snapshot> snapshot;
   {
     auto lk = LockShard(shard);
@@ -817,16 +813,18 @@ common::Result<RefineReport> HighlightServer::RefinePass(
     }
     shard.refine_done.wait(lk, [&] { return !state->refine_inflight; });
     state->refine_inflight = true;
-    state->pending_sessions = 0;
+    claimed_pending = std::exchange(state->pending_sessions, 0);
     watermark = state->watermark;
     snapshot = state->snapshot;
   }
 
   // Read the batch. Generation and session read happen under one db_mu_
   // hold, so the new watermark covers exactly the sessions consumed.
+  // A failure releases the claim outside db_mu_ (the shard -> db lock
+  // order), or every later pass on this video would wait forever.
   std::map<uint64_t, std::vector<storage::InteractionRecord>> sessions;
   uint64_t new_watermark = 0;
-  common::Status flush_status = common::Status::OK();
+  common::Status status = common::Status::OK();
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
     // In batched-flush mode the consumed sessions must be durable before
@@ -834,26 +832,17 @@ common::Result<RefineReport> HighlightServer::RefinePass(
     // restarted server will never re-consume.
     if (options_.batched_session_flush) {
       RescueWedgedLog();
-      flush_status = options_.db->FlushInteractions();
+      status = options_.db->FlushInteractions();
     }
-    if (flush_status.ok()) {
+    if (status.ok()) {
       sessions =
           options_.db->interactions().SessionsSince(video_id, watermark);
       new_watermark = options_.db->interactions().current_generation() + 1;
     }
   }
-  if (!flush_status.ok()) {
-    // Release the claim before bailing (outside db_mu_, respecting the
-    // shard -> db lock order) or every later pass on this video would
-    // wait on refine_inflight forever.
-    {
-      auto lk = LockShard(shard);
-      VideoState& state = shard.videos[video_id];
-      state.refine_inflight = false;
-      state.refine_queued = false;
-    }
-    shard.refine_done.notify_all();
-    return flush_status;
+  if (!status.ok()) {
+    ReleaseRefineClaim(shard, video_id, claimed_pending);
+    return status;
   }
   RefineBatchSessionsHistogram().Observe(
       static_cast<double>(sessions.size()));
@@ -863,16 +852,19 @@ common::Result<RefineReport> HighlightServer::RefinePass(
   auto pass =
       RunRefinePass(*options_.lightor, video_id, snapshot->records, sessions);
 
-  common::Status persist_status = common::Status::OK();
+  // Persist the updated dots as one batch, all or none. On a storage
+  // error nothing is published and the watermark stays, so the store
+  // keeps matching what is served and a retry consumes the same sessions.
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
     RescueWedgedLog();
-    for (size_t i = 0; i < pass.updated.size(); ++i) {
-      if (auto st = options_.db->PutHighlight(pass.updated[i]); !st.ok()) {
-        pass.report.dots[i].status = st;
-        persist_status = st;
-      }
+    if (!pass.updated.empty()) {
+      status = options_.db->PutHighlight(std::move(pass.updated));
     }
+  }
+  if (!status.ok()) {
+    ReleaseRefineClaim(shard, video_id, claimed_pending);
+    return status;
   }
 
   // Publish: snapshot-on-write, watermark advance, wake waiters, and
@@ -893,15 +885,27 @@ common::Result<RefineReport> HighlightServer::RefinePass(
     }
   }
   shard.refine_done.notify_all();
-  DotsUpdatedCounter(kKind).Increment(
+  DotsUpdatedCounter().Increment(
       static_cast<uint64_t>(pass.report.dots_updated));
   LIGHTOR_LOG(Debug) << "serving: refine pass (" << trigger << ") on "
                      << video_id << " consumed "
                      << pass.report.sessions_consumed
                      << " sessions, updated " << pass.report.dots_updated
                      << " dots";
-  if (!persist_status.ok()) return persist_status;
   return std::move(pass.report);
+}
+
+void HighlightServer::ReleaseRefineClaim(Shard& shard,
+                                         const std::string& video_id,
+                                         size_t claimed_pending) {
+  {
+    auto lk = LockShard(shard);
+    VideoState& state = shard.videos[video_id];
+    state.refine_inflight = false;
+    state.refine_queued = false;
+    state.pending_sessions += claimed_pending;
+  }
+  shard.refine_done.notify_all();
 }
 
 bool HighlightServer::TryEnqueueRefine(const std::string& video_id) {

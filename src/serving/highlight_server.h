@@ -24,10 +24,12 @@
 
 namespace lightor::serving {
 
-/// Thread-safe concurrent serving layer over the LIGHTOR core pipeline —
-/// the production counterpart of the single-threaded reference
-/// `WebService` (both run the identical refinement core, serving/refine.h,
-/// and are differential-tested against each other).
+/// Thread-safe concurrent serving layer over the LIGHTOR core pipeline:
+/// the browser-extension backend of Section VI. A page visit crawls the
+/// chat if needed and runs the Highlight Initializer; logged viewing
+/// sessions feed Highlight Extractor refinement passes (serving/refine.h),
+/// which publish updated dots. serving_server_test checks it against an
+/// oracle that composes those public steps with no server or database.
 ///
 /// Architecture:
 ///
@@ -150,6 +152,8 @@ class HighlightServer {
 
   /// Synchronous on-demand refinement pass (waits for an in-flight
   /// background pass on the same video to finish first). Thread-safe.
+  /// The updated dots are persisted all or none: on a storage error the
+  /// pass publishes nothing, consumes no session and returns the error.
   common::Result<RefineReport> Refine(const std::string& video_id);
 
   /// Current highlight snapshot of a video (NotFound before the first
@@ -203,7 +207,8 @@ class HighlightServer {
     std::shared_ptr<const Snapshot> snapshot;
     /// Interaction generation already consumed by refinement.
     uint64_t watermark = 0;
-    /// Sessions logged since the last claimed batch.
+    /// Sessions logged since the last claimed batch (a failed pass
+    /// hands its claimed count back).
     size_t pending_sessions = 0;
     bool refine_queued = false;
     bool refine_inflight = false;
@@ -322,6 +327,13 @@ class HighlightServer {
   /// `Refine`). `trigger` is "batch", "explicit", or "drain".
   common::Result<RefineReport> RefinePass(const std::string& video_id,
                                           const char* trigger);
+
+  /// Ends a failed pass: clears the claim, hands the claimed pending
+  /// count back (the watermark did not move, so those sessions are still
+  /// unconsumed), and wakes waiters. Takes the shard lock: never call it
+  /// with db_mu_ held.
+  void ReleaseRefineClaim(Shard& shard, const std::string& video_id,
+                          size_t claimed_pending);
 
   /// Pushes a refine task unless the queue is full; returns whether the
   /// task was accepted. Never blocks.

@@ -12,111 +12,65 @@ std::string ExportMetricsPage(std::string_view format) {
   return obs::ExportPrometheus(snapshot);
 }
 
-namespace {
-
-constexpr const char* kReferenceLabel = "reference";
-constexpr const char* kConcurrentLabel = "concurrent";
-
-const char* ServerLabel(ServerKind kind) {
-  return kind == ServerKind::kReference ? kReferenceLabel : kConcurrentLabel;
-}
-
-obs::Counter& ServerCounter(const char* name, ServerKind kind) {
-  // One interned series per (name, server); the registry returns the
-  // same pointer for repeated registrations, so the lookup cost is a
-  // short mutexed map probe only until the local statics below latch.
-  return *obs::Registry::Global().GetCounter(name,
-                                             {{"server", ServerLabel(kind)}});
-}
-
-}  // namespace
-
-obs::Histogram& RequestLatency(const char* endpoint, ServerKind kind) {
-  struct Series {
-    obs::Histogram* page_visit;
-    obs::Histogram* log_session;
-    obs::Histogram* refine;
-    obs::Histogram* get_highlights;
+obs::Histogram& RequestLatency(const char* endpoint) {
+  static const auto get = [](const char* ep) {
+    return obs::Registry::Global().GetHistogram(
+        "lightor_web_request_seconds", obs::Histogram::LatencyBounds(),
+        {{"endpoint", ep}});
   };
-  static const auto make = [](ServerKind k) {
-    const auto get = [&](const char* ep) {
-      return obs::Registry::Global().GetHistogram(
-          "lightor_web_request_seconds", obs::Histogram::LatencyBounds(),
-          {{"endpoint", ep}, {"server", ServerLabel(k)}});
-    };
-    return Series{get("page_visit"), get("log_session"), get("refine"),
-                  get("get_highlights")};
-  };
-  static const Series reference = make(ServerKind::kReference);
-  static const Series concurrent = make(ServerKind::kConcurrent);
-  const Series& s = kind == ServerKind::kReference ? reference : concurrent;
+  static obs::Histogram* const page_visit = get("page_visit");
+  static obs::Histogram* const log_session = get("log_session");
+  static obs::Histogram* const refine = get("refine");
+  static obs::Histogram* const get_highlights = get("get_highlights");
   const std::string_view ep(endpoint);
-  if (ep == "page_visit") return *s.page_visit;
-  if (ep == "log_session") return *s.log_session;
-  if (ep == "get_highlights") return *s.get_highlights;
-  return *s.refine;
+  if (ep == "page_visit") return *page_visit;
+  if (ep == "log_session") return *log_session;
+  if (ep == "get_highlights") return *get_highlights;
+  return *refine;
 }
 
-obs::Counter& PageVisitsCounter(ServerKind kind) {
-  static obs::Counter* const ref =
-      &ServerCounter("lightor_web_page_visits_total", ServerKind::kReference);
-  static obs::Counter* const conc =
-      &ServerCounter("lightor_web_page_visits_total", ServerKind::kConcurrent);
-  return kind == ServerKind::kReference ? *ref : *conc;
+obs::Counter& PageVisitsCounter() {
+  static obs::Counter* const counter =
+      obs::Registry::Global().GetCounter("lightor_web_page_visits_total");
+  return *counter;
 }
 
-obs::Counter& DotCacheCounter(ServerKind kind, bool hit) {
-  static const auto make = [](ServerKind k, const char* outcome) {
-    return obs::Registry::Global().GetCounter(
-        "lightor_web_dot_cache_total",
-        {{"outcome", outcome}, {"server", ServerLabel(k)}});
-  };
-  static obs::Counter* const ref_hit = make(ServerKind::kReference, "hit");
-  static obs::Counter* const ref_miss = make(ServerKind::kReference, "miss");
-  static obs::Counter* const conc_hit = make(ServerKind::kConcurrent, "hit");
-  static obs::Counter* const conc_miss = make(ServerKind::kConcurrent, "miss");
-  if (kind == ServerKind::kReference) return hit ? *ref_hit : *ref_miss;
-  return hit ? *conc_hit : *conc_miss;
+obs::Counter& DotCacheCounter(bool hit) {
+  static obs::Counter* const hits = obs::Registry::Global().GetCounter(
+      "lightor_web_dot_cache_total", {{"outcome", "hit"}});
+  static obs::Counter* const misses = obs::Registry::Global().GetCounter(
+      "lightor_web_dot_cache_total", {{"outcome", "miss"}});
+  return hit ? *hits : *misses;
 }
 
-obs::Counter& SessionsLoggedCounter(ServerKind kind) {
-  static obs::Counter* const ref = &ServerCounter(
-      "lightor_web_sessions_logged_total", ServerKind::kReference);
-  static obs::Counter* const conc = &ServerCounter(
-      "lightor_web_sessions_logged_total", ServerKind::kConcurrent);
-  return kind == ServerKind::kReference ? *ref : *conc;
+obs::Counter& SessionsLoggedCounter() {
+  static obs::Counter* const counter =
+      obs::Registry::Global().GetCounter("lightor_web_sessions_logged_total");
+  return *counter;
 }
 
-obs::Counter& DuplicateSessionsCounter(ServerKind kind) {
-  static obs::Counter* const ref = &ServerCounter(
-      "lightor_web_sessions_duplicate_total", ServerKind::kReference);
-  static obs::Counter* const conc = &ServerCounter(
-      "lightor_web_sessions_duplicate_total", ServerKind::kConcurrent);
-  return kind == ServerKind::kReference ? *ref : *conc;
+obs::Counter& DuplicateSessionsCounter() {
+  static obs::Counter* const counter = obs::Registry::Global().GetCounter(
+      "lightor_web_sessions_duplicate_total");
+  return *counter;
 }
 
-obs::Counter& InteractionEventsCounter(ServerKind kind) {
-  static obs::Counter* const ref = &ServerCounter(
-      "lightor_web_interaction_events_total", ServerKind::kReference);
-  static obs::Counter* const conc = &ServerCounter(
-      "lightor_web_interaction_events_total", ServerKind::kConcurrent);
-  return kind == ServerKind::kReference ? *ref : *conc;
+obs::Counter& InteractionEventsCounter() {
+  static obs::Counter* const counter = obs::Registry::Global().GetCounter(
+      "lightor_web_interaction_events_total");
+  return *counter;
 }
 
-obs::Counter& RefinePassesCounter(ServerKind kind) {
-  static obs::Counter* const ref =
-      &ServerCounter("lightor_web_refine_passes_total", ServerKind::kReference);
-  static obs::Counter* const conc = &ServerCounter(
-      "lightor_web_refine_passes_total", ServerKind::kConcurrent);
-  return kind == ServerKind::kReference ? *ref : *conc;
+obs::Counter& RefinePassesCounter() {
+  static obs::Counter* const counter =
+      obs::Registry::Global().GetCounter("lightor_web_refine_passes_total");
+  return *counter;
 }
 
-obs::Counter& DotsUpdatedCounter(ServerKind kind) {
-  static obs::Counter* const ref =
-      &ServerCounter("lightor_web_dots_updated_total", ServerKind::kReference);
-  static obs::Counter* const conc =
-      &ServerCounter("lightor_web_dots_updated_total", ServerKind::kConcurrent);
-  return kind == ServerKind::kReference ? *ref : *conc;
+obs::Counter& DotsUpdatedCounter() {
+  static obs::Counter* const counter =
+      obs::Registry::Global().GetCounter("lightor_web_dots_updated_total");
+  return *counter;
 }
 
 obs::Counter& StreamIngestRequestsCounter() {

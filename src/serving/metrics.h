@@ -11,31 +11,26 @@ namespace lightor::serving {
 /// The one `/metrics` export path: a snapshot of the process-global
 /// obs::Registry rendered as Prometheus text (the default) or as the
 /// exporter JSON when `format == "json"`. Shared by
-/// `WebService::MetricsPage`, `HighlightServer::MetricsPage`, and the
-/// HTTP front-end's `GET /metrics?format=json`; unknown formats fall
-/// back to Prometheus so the endpoint never errors on a typo.
+/// `HighlightServer::MetricsPage` and the HTTP front-end's
+/// `GET /metrics?format=json`; unknown formats fall back to Prometheus so
+/// the endpoint never errors on a typo.
 std::string ExportMetricsPage(std::string_view format = "prometheus");
 
-/// Which serving implementation a sample came from. Metric series shared
-/// by both are labelled `server="reference"|"concurrent"` — a constant,
-/// video_id-free label, so cardinality stays bounded no matter how many
-/// videos a server handles (per-video labels would explode the registry).
-enum class ServerKind { kReference, kConcurrent };
-
-/// Request-path series shared by WebService and HighlightServer
-/// (`lightor_web_*`, as documented in DESIGN.md). Registration is cached
-/// per (family, label) in function-local statics; the hot path is one
-/// relaxed atomic op.
-obs::Histogram& RequestLatency(const char* endpoint, ServerKind kind);
-obs::Counter& PageVisitsCounter(ServerKind kind);
-obs::Counter& DotCacheCounter(ServerKind kind, bool hit);
-obs::Counter& SessionsLoggedCounter(ServerKind kind);
+/// Request-path series of the serving layer (`lightor_web_*`, as
+/// documented in DESIGN.md). No label carries a video id, so cardinality
+/// stays bounded however many videos a server handles. Registration is
+/// cached in function-local statics; the hot path is one relaxed atomic
+/// op.
+obs::Histogram& RequestLatency(const char* endpoint);
+obs::Counter& PageVisitsCounter();
+obs::Counter& DotCacheCounter(bool hit);
+obs::Counter& SessionsLoggedCounter();
 /// Sessions acked without logging because their id was already stored
 /// (router retry after an ack-lost crash; see LogSession idempotence).
-obs::Counter& DuplicateSessionsCounter(ServerKind kind);
-obs::Counter& InteractionEventsCounter(ServerKind kind);
-obs::Counter& RefinePassesCounter(ServerKind kind);
-obs::Counter& DotsUpdatedCounter(ServerKind kind);
+obs::Counter& DuplicateSessionsCounter();
+obs::Counter& InteractionEventsCounter();
+obs::Counter& RefinePassesCounter();
+obs::Counter& DotsUpdatedCounter();
 
 /// Live-ingest path (`lightor_stream_*`, shared prefix with the core
 /// engine's own series in core/streaming.cc).

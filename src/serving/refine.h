@@ -12,11 +12,10 @@
 
 namespace lightor::serving {
 
-/// The refinement-pass core shared by the single-threaded reference
-/// `WebService` and the concurrent `HighlightServer`. Both call the same
-/// pure functions, so the two implementations are refinement-identical by
-/// construction (the differential test in tests/serving_server_test.cc
-/// asserts it end to end).
+/// The refinement-pass core of `HighlightServer`: pure functions over
+/// already-read state, so a caller with no server or database (the oracle
+/// in tests/serving_server_test.cc, e2ebench's per-layer timing) computes
+/// the same pass from the same dots and sessions.
 
 /// Converts a stored interaction back to the sim event type.
 sim::InteractionType ToSimType(storage::StoredInteraction event);
@@ -53,8 +52,10 @@ RefinePassResult RunRefinePass(
 /// Restart dedupe: videos whose stored dots were already refined
 /// (iteration > 0) have consumed interactions that are still in the log;
 /// returns a per-video watermark marking everything currently stored as
-/// consumed for those videos, so a restarted service does not re-feed old
-/// sessions into `Refine`. See ServerOptions::seed_watermarks_from_db.
+/// consumed for those videos, so a restarted server does not re-feed old
+/// sessions into `Refine`. `HighlightServer` seeds its watermarks from it
+/// on construction. Trade-off: sessions logged after the last pre-restart
+/// pass are skipped too (at-most-once consumption across restarts).
 std::unordered_map<std::string, uint64_t> SeedWatermarksFromDb(
     storage::Database& db);
 

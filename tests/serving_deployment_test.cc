@@ -3,20 +3,25 @@
 #include <filesystem>
 #include <memory>
 
+#include "common/rng.h"
 #include "core/evaluation.h"
-#include "serving/web_service.h"
+#include "serving/highlight_server.h"
 #include "sim/bridge.h"
 #include "sim/corpus.h"
+#include "sim/viewer_simulator.h"
 #include "storage/database.h"
 
 namespace lightor::serving {
 namespace {
 
-class WebServiceTest : public ::testing::Test {
+/// The Section VI deployment loop end to end on a `HighlightServer` with
+/// explicit refinement only: page visit → crawl → Initializer → red dots
+/// → logged sessions → Extractor pass → updated dots.
+class DeploymentTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = (std::filesystem::temp_directory_path() /
-            ("lightor_ws_test_" +
+            ("lightor_deployment_test_" +
              std::string(::testing::UnitTest::GetInstance()
                              ->current_test_info()
                              ->name())))
@@ -44,46 +49,62 @@ class WebServiceTest : public ::testing::Test {
     lightor_ = std::make_unique<core::Lightor>();
     ASSERT_TRUE(lightor_->TrainInitializer({tv}).ok());
 
+    service_ = MakeServer();
+    ASSERT_NE(service_, nullptr);
+    video_id_ = platform_->AllVideoIds()[0];
+  }
+  void TearDown() override {
+    service_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  ServerOptions Options() {
     ServerOptions opts;
     opts.platform = Borrow<const sim::Platform>(platform_.get());
     opts.db = Borrow(db_.get());
     opts.lightor = Borrow<const core::Lightor>(lightor_.get());
     opts.top_k = 5;
-    service_ = std::make_unique<WebService>(opts);
-    video_id_ = platform_->AllVideoIds()[0];
+    opts.refine_batch_sessions = 0;  // explicit refinement only
+    return opts;
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  common::Status LogSessionFor(const std::string& user, uint64_t session_id,
+  std::unique_ptr<HighlightServer> MakeServer() {
+    auto server = HighlightServer::Create(Options());
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    return server.ok() ? std::move(server).value() : nullptr;
+  }
+
+  common::Status LogSessionFor(HighlightServer* server,
+                               const std::string& user, uint64_t session_id,
                                std::vector<sim::InteractionEvent> events) {
     LogSessionRequest req;
     req.video_id = video_id_;
     req.user = user;
     req.session_id = session_id;
     req.events = std::move(events);
-    return service_->LogSession(req);
+    return server->LogSession(req);
   }
 
   std::string dir_;
   std::unique_ptr<sim::Platform> platform_;
   std::unique_ptr<storage::Database> db_;
   std::unique_ptr<core::Lightor> lightor_;
-  std::unique_ptr<WebService> service_;
+  std::unique_ptr<HighlightServer> service_;
   std::string video_id_;
 };
 
-TEST_F(WebServiceTest, OptionsAreValidated) {
+TEST_F(DeploymentTest, OptionsAreValidated) {
   ServerOptions opts;
   EXPECT_TRUE(opts.Validate().IsInvalidArgument());  // null deps
-  opts.platform = Borrow<const sim::Platform>(platform_.get());
-  opts.db = Borrow(db_.get());
-  opts.lightor = Borrow<const core::Lightor>(lightor_.get());
+  EXPECT_TRUE(HighlightServer::Create(opts).status().IsInvalidArgument());
+  opts = Options();
   EXPECT_TRUE(opts.Validate().ok());
   opts.top_k = 0;
   EXPECT_TRUE(opts.Validate().IsInvalidArgument());
+  EXPECT_TRUE(HighlightServer::Create(opts).status().IsInvalidArgument());
 }
 
-TEST_F(WebServiceTest, FirstVisitCrawlsAndInitializes) {
+TEST_F(DeploymentTest, FirstVisitCrawlsAndInitializes) {
   EXPECT_FALSE(db_->chat().HasVideo(video_id_));
   auto visit = service_->OnPageVisit({video_id_, "u"});
   ASSERT_TRUE(visit.ok());
@@ -94,7 +115,7 @@ TEST_F(WebServiceTest, FirstVisitCrawlsAndInitializes) {
   EXPECT_TRUE(db_->highlights().HasVideo(video_id_));
 }
 
-TEST_F(WebServiceTest, SecondVisitServedFromStore) {
+TEST_F(DeploymentTest, SecondVisitServedFromStore) {
   auto first = service_->OnPageVisit({video_id_, "u"});
   ASSERT_TRUE(first.ok());
   const size_t chat_records = db_->chat().TotalRecords();
@@ -102,29 +123,26 @@ TEST_F(WebServiceTest, SecondVisitServedFromStore) {
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second.value().first_visit);
   EXPECT_EQ(db_->chat().TotalRecords(), chat_records);  // no re-crawl
-  ASSERT_EQ(second.value().highlights.size(), first.value().highlights.size());
-  EXPECT_DOUBLE_EQ(second.value().highlights[0].dot_position,
-                   first.value().highlights[0].dot_position);
+  EXPECT_EQ(second.value().highlights, first.value().highlights);
 }
 
-TEST_F(WebServiceTest, MetricsPageReflectsTraffic) {
+TEST_F(DeploymentTest, MetricsPageReflectsTraffic) {
   ASSERT_TRUE(service_->OnPageVisit({video_id_, "u"}).ok());
   const std::string page = service_->MetricsPage();
   EXPECT_NE(page.find("# TYPE lightor_web_page_visits_total counter"),
             std::string::npos);
-  EXPECT_NE(page.find("lightor_web_dot_cache_total{outcome=\"miss\","
-                      "server=\"reference\"}"),
+  EXPECT_NE(page.find("lightor_web_dot_cache_total{outcome=\"miss\"}"),
             std::string::npos);
   EXPECT_NE(page.find("lightor_storage_chat_cache_total"), std::string::npos);
 }
 
-TEST_F(WebServiceTest, UnknownVideoIsNotFound) {
+TEST_F(DeploymentTest, UnknownVideoIsNotFound) {
   EXPECT_TRUE(service_->OnPageVisit({"missing", "u"}).status().IsNotFound());
   EXPECT_TRUE(service_->GetHighlights("missing").status().IsNotFound());
   EXPECT_TRUE(service_->Refine("missing").status().IsNotFound());
 }
 
-TEST_F(WebServiceTest, FullDeploymentLoopRefinesDots) {
+TEST_F(DeploymentTest, FullDeploymentLoopRefinesDots) {
   auto visit = service_->OnPageVisit({video_id_, "u"});
   ASSERT_TRUE(visit.ok());
   const auto video = platform_->GetVideo(video_id_).value();
@@ -133,7 +151,7 @@ TEST_F(WebServiceTest, FullDeploymentLoopRefinesDots) {
   common::Rng rng(63);
   uint64_t session_id = 0;
   // Three rounds of: viewers interact around the published dots -> the
-  // service refines.
+  // server refines.
   for (int round = 0; round < 3; ++round) {
     const auto current = service_->GetHighlights(video_id_).value();
     for (const auto& dot : current.highlights) {
@@ -141,8 +159,9 @@ TEST_F(WebServiceTest, FullDeploymentLoopRefinesDots) {
         const auto session = viewers.SimulateSession(
             video.truth, dot.dot_position, rng,
             "w" + std::to_string(session_id));
-        ASSERT_TRUE(
-            LogSessionFor(session.user, ++session_id, session.events).ok());
+        ASSERT_TRUE(LogSessionFor(service_.get(), session.user, ++session_id,
+                                  session.events)
+                        .ok());
       }
     }
     auto report = service_->Refine(video_id_);
@@ -171,26 +190,7 @@ TEST_F(WebServiceTest, FullDeploymentLoopRefinesDots) {
   EXPECT_GT(core::VideoPrecisionStart(starts, truth), 0.4);
 }
 
-TEST_F(WebServiceTest, RefineConsumesWatermarkedInteractionsOnly) {
-  ASSERT_TRUE(service_->OnPageVisit({video_id_, "u"}).ok());
-  const auto video = platform_->GetVideo(video_id_).value();
-  sim::ViewerSimulator viewers;
-  common::Rng rng(64);
-  const auto dots = service_->GetHighlights(video_id_).value();
-  for (int u = 0; u < 8; ++u) {
-    const auto session = viewers.SimulateSession(
-        video.truth, dots.highlights[0].dot_position, rng, "w");
-    ASSERT_TRUE(LogSessionFor("w", 1000 + u, session.events).ok());
-  }
-  ASSERT_TRUE(service_->Refine(video_id_).ok());
-  // Immediately refining again sees no new interactions: nothing updates.
-  auto second = service_->Refine(video_id_);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value().dots_updated, 0);
-  EXPECT_EQ(second.value().sessions_consumed, 0u);
-}
-
-TEST_F(WebServiceTest, RestartSeedsWatermarkFromDb) {
+TEST_F(DeploymentTest, RestartSeedsWatermarkFromDb) {
   ASSERT_TRUE(service_->OnPageVisit({video_id_, "u"}).ok());
   const auto video = platform_->GetVideo(video_id_).value();
   sim::ViewerSimulator viewers;
@@ -199,18 +199,17 @@ TEST_F(WebServiceTest, RestartSeedsWatermarkFromDb) {
   for (int u = 0; u < 8; ++u) {
     const auto session = viewers.SimulateSession(
         video.truth, dots.highlights[0].dot_position, rng, "w");
-    ASSERT_TRUE(LogSessionFor("w", 2000 + u, session.events).ok());
+    ASSERT_TRUE(
+        LogSessionFor(service_.get(), "w", 2000 + u, session.events).ok());
   }
   ASSERT_TRUE(service_->Refine(video_id_).ok());
+  service_.reset();
 
-  // A "restarted" service over the same database must not re-consume the
+  // A restarted server over the same database must not re-consume the
   // sessions the first instance already refined on.
-  ServerOptions opts;
-  opts.platform = Borrow<const sim::Platform>(platform_.get());
-  opts.db = Borrow(db_.get());
-  opts.lightor = Borrow<const core::Lightor>(lightor_.get());
-  WebService restarted(opts);
-  auto report = restarted.Refine(video_id_);
+  auto restarted = MakeServer();
+  ASSERT_NE(restarted, nullptr);
+  auto report = restarted->Refine(video_id_);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().sessions_consumed, 0u);
   EXPECT_EQ(report.value().dots_updated, 0);
@@ -219,14 +218,10 @@ TEST_F(WebServiceTest, RestartSeedsWatermarkFromDb) {
   for (int u = 0; u < 8; ++u) {
     const auto session = viewers.SimulateSession(
         video.truth, dots.highlights[0].dot_position, rng, "w2");
-    LogSessionRequest req;
-    req.video_id = video_id_;
-    req.user = "w2";
-    req.session_id = 3000 + u;
-    req.events = session.events;
-    ASSERT_TRUE(restarted.LogSession(req).ok());
+    ASSERT_TRUE(
+        LogSessionFor(restarted.get(), "w2", 3000 + u, session.events).ok());
   }
-  auto next = restarted.Refine(video_id_);
+  auto next = restarted->Refine(video_id_);
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next.value().sessions_consumed, 8u);
 }

@@ -11,6 +11,7 @@
 #include "net/service.h"
 #include "obs/metrics.h"
 #include "serving/highlight_server.h"
+#include "serving/refine.h"
 #include "sim/bridge.h"
 #include "sim/corpus.h"
 #include "sim/viewer_simulator.h"
@@ -471,6 +472,65 @@ TEST_F(ServingRecoveryTest, FailedDotWriteLeavesNoPartialDots) {
               batch.value()[i].position)
         << "dot " << i;
   }
+}
+
+// The same for a refine pass: a write error between its first updated
+// dot and its last must neither serve dots that are not on disk nor
+// consume the sessions behind them. The pass answers 503 + Retry-After
+// with the served version and dots unchanged and equal to the store; the
+// retry consumes the same sessions into the dots the Extractor computes
+// from them, and a restart serves those dots.
+TEST_F(ServingRecoveryTest, FailedRefineWriteConsumesNoSessions) {
+  std::vector<storage::HighlightRecord> refined;
+  {
+    auto db = OpenDb();
+    auto server = MakeServer(db.get());
+    ASSERT_TRUE(server->OnPageVisit({video_id_, "u"}).ok());
+    const auto before = server->GetHighlights(video_id_).value();
+    const uint64_t acked = LogSessions(server.get(), 12, 89);
+    ASSERT_EQ(acked, 12 * before.highlights.size());
+    const RefinePassResult want =
+        RunRefinePass(*lightor_, video_id_, before.highlights,
+                      db->interactions().SessionsSince(video_id_, 0));
+    ASSERT_GT(want.updated.size(), 1u);
+
+    net::Router routes = net::BuildRoutes(server.get());
+    int error_status = 0;
+    const net::HttpHandler* handler =
+        routes.Find("POST", "/refine", &error_status);
+    ASSERT_NE(handler, nullptr);
+    const std::string body = "{\"video_id\":\"" + video_id_ + "\"}";
+    net::HttpRequest wire;
+    wire.method = "POST";
+    wire.path = "/refine";
+    wire.body = body;
+    // The pass's first I/O is its dot write, two appends per dot. Disk
+    // full inside the second dot's frame.
+    env_.InjectAt(env_.io_points() + 3, ft::FaultKind::kEnospc);
+    net::HttpResponse response = (*handler)(wire);
+    EXPECT_EQ(response.status, 503);
+    EXPECT_NE(response.FindHeader("retry-after"), nullptr);
+    const auto served = server->GetHighlights(video_id_).value();
+    EXPECT_EQ(served.snapshot_version, before.snapshot_version);
+    EXPECT_EQ(served.highlights, before.highlights);
+    EXPECT_EQ(db->highlights().GetLatest(video_id_), served.highlights);
+
+    auto retried = server->Refine(video_id_);
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    EXPECT_EQ(retried.value().sessions_consumed, acked);
+    EXPECT_EQ(retried.value().dots_updated, want.report.dots_updated);
+    refined = server->GetHighlights(video_id_).value().highlights;
+    EXPECT_EQ(refined, want.all);
+    EXPECT_EQ(db->highlights().GetLatest(video_id_), refined);
+    server->Shutdown();
+    env_.RecoverAfterCrash(ft::CrashModel::kProcess);
+  }
+
+  auto db = OpenDb();
+  auto server = MakeServer(db.get());
+  auto loaded = server->GetHighlights(video_id_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().highlights, refined);
 }
 
 // A wedged log is rescued by the next write, with no explicit

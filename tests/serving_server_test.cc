@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <thread>
 
 #include "serving/highlight_server.h"
-#include "serving/web_service.h"
+#include "serving/refine.h"
 #include "sim/bridge.h"
 #include "sim/corpus.h"
 #include "sim/viewer_simulator.h"
@@ -15,9 +19,86 @@
 namespace lightor::serving {
 namespace {
 
+/// The paper's deployment loop composed from its public steps, with no
+/// server and no database: the Initializer over the video's chat in
+/// timestamp order (stable) on its first visit, the logged sessions of
+/// each video keyed by session id (a resent id is kept once), and one
+/// Extractor pass over the sessions logged since the previous pass. It
+/// shares none of the server's shards, snapshots, watermarks or log
+/// reads.
+class DeploymentOracle {
+ public:
+  DeploymentOracle(const sim::Platform* platform, const core::Lightor* lightor,
+                   size_t top_k)
+      : platform_(platform), lightor_(lightor), top_k_(top_k) {}
+
+  /// The video's current dots; the first call places them.
+  std::vector<storage::HighlightRecord> Visit(const std::string& video_id) {
+    auto [it, first] = videos_.try_emplace(video_id);
+    if (!first) return it->second.dots;
+    std::vector<core::Message> chat =
+        sim::ToCoreMessages(platform_->FetchChat(video_id).value());
+    std::stable_sort(chat.begin(), chat.end(),
+                     [](const core::Message& a, const core::Message& b) {
+                       return a.timestamp < b.timestamp;
+                     });
+    const auto dots = lightor_->Initialize(
+        chat, platform_->VideoLength(video_id).value(), top_k_);
+    EXPECT_TRUE(dots.ok()) << dots.status().ToString();
+    const double fallback = lightor_->options().extractor.fallback_length;
+    for (size_t i = 0; i < dots.value().size(); ++i) {
+      storage::HighlightRecord rec;
+      rec.video_id = video_id;
+      rec.dot_index = static_cast<int32_t>(i);
+      rec.dot_position = dots.value()[i].position;
+      rec.start = rec.dot_position;
+      rec.end = rec.dot_position + fallback;
+      rec.score = dots.value()[i].score;
+      it->second.dots.push_back(std::move(rec));
+    }
+    return it->second.dots;
+  }
+
+  void LogSession(const LogSessionRequest& req) {
+    Video& video = videos_.at(req.video_id);
+    if (!video.logged.insert(req.session_id).second) return;
+    auto& records = video.unconsumed[req.session_id];
+    for (const auto& ev : req.events) {
+      storage::InteractionRecord rec;
+      rec.video_id = req.video_id;
+      rec.user = req.user;
+      rec.session_id = req.session_id;
+      rec.event = FromSimType(ev.type);
+      rec.wall_time = ev.wall_time;
+      rec.position = ev.position;
+      rec.target = ev.target;
+      records.push_back(std::move(rec));
+    }
+  }
+
+  RefineReport Refine(const std::string& video_id) {
+    Video& video = videos_.at(video_id);
+    auto pass = RunRefinePass(*lightor_, video_id, video.dots,
+                              video.unconsumed);
+    video.unconsumed.clear();
+    video.dots = std::move(pass.all);
+    return std::move(pass.report);
+  }
+
+ private:
+  struct Video {
+    std::vector<storage::HighlightRecord> dots;
+    std::set<uint64_t> logged;
+    std::map<uint64_t, std::vector<storage::InteractionRecord>> unconsumed;
+  };
+  const sim::Platform* platform_;
+  const core::Lightor* lightor_;
+  size_t top_k_;
+  std::map<std::string, Video> videos_;
+};
+
 /// Shared fixture: one simulated platform and trained pipeline; each test
-/// opens its own database directory (and a second one for differential
-/// runs).
+/// opens its own database directory.
 class HighlightServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -47,10 +128,7 @@ class HighlightServerTest : public ::testing::Test {
 
     video_id_ = platform_->AllVideoIds()[0];
   }
-  void TearDown() override {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::remove_all(dir_ + "_ref");
-  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::unique_ptr<storage::Database> OpenDb(const std::string& dir) {
     auto db = storage::DB::Open(storage::OpenOptions(dir));
@@ -305,91 +383,77 @@ TEST_F(HighlightServerTest, RestartDoesNotReconsumeSessions) {
   EXPECT_EQ(report.value().dots_updated, 0);
 }
 
-/// The differential test of the redesign: the concurrent server and the
-/// single-threaded reference implementation run the identical refinement
-/// core, so identical traffic into separate databases must yield
-/// identical highlights.
-TEST_F(HighlightServerTest, MatchesReferenceWebServiceOnIdenticalTraffic) {
-  auto db_new = OpenDb(dir_);
-  auto db_ref = OpenDb(dir_ + "_ref");
-
-  ServerOptions new_opts = BaseOptions(db_new.get());
-  new_opts.refine_batch_sessions = 0;  // refinement at explicit points only
-  auto server = HighlightServer::Create(new_opts);
+/// The differential: the same traffic into the server and into the
+/// oracle must yield the same reports and the same dots. Each video gets
+/// two rounds of sessions, and each round resends one session (a router
+/// retry): the first round a session the pass has not consumed yet, the
+/// second round one an earlier pass already consumed. The server's
+/// session-id dedupe must make both resends no-ops, as the oracle's does.
+TEST_F(HighlightServerTest, MatchesDeploymentOracleOnIdenticalTraffic) {
+  auto db = OpenDb(dir_);
+  ServerOptions opts = BaseOptions(db.get());
+  opts.refine_batch_sessions = 0;  // refinement at explicit points only
+  auto server = HighlightServer::Create(opts);
   ASSERT_TRUE(server.ok());
-  WebService reference(BaseOptions(db_ref.get()));
+  DeploymentOracle oracle(platform_.get(), lightor_.get(), opts.top_k);
 
   const auto ids = platform_->AllVideoIds();
   sim::ViewerSimulator viewers;
   uint64_t session_id = 0;
   for (const auto& video_id : ids) {
-    auto new_visit = server.value()->OnPageVisit({video_id, "u"});
-    auto ref_visit = reference.OnPageVisit({video_id, "u"});
-    ASSERT_TRUE(new_visit.ok());
-    ASSERT_TRUE(ref_visit.ok());
-    ASSERT_EQ(new_visit.value().highlights.size(),
-              ref_visit.value().highlights.size());
+    auto visit = server.value()->OnPageVisit({video_id, "u"});
+    ASSERT_TRUE(visit.ok());
+    ASSERT_EQ(visit.value().highlights, oracle.Visit(video_id));
 
     const auto video = platform_->GetVideo(video_id).value();
-    // Identical sessions into both services (fresh Rng per video, forked
-    // identically for each service).
     common::Rng rng(700 + session_id);
-    for (const auto& dot : new_visit.value().highlights) {
-      for (int u = 0; u < 6; ++u) {
-        auto fork = rng.Fork();
-        auto fork_copy = fork;
-        const auto session = viewers.SimulateSession(
-            video.truth, dot.dot_position, fork,
-            "w" + std::to_string(session_id));
-        const auto session_ref = viewers.SimulateSession(
-            video.truth, dot.dot_position, fork_copy,
-            "w" + std::to_string(session_id));
-        ++session_id;
-        ASSERT_TRUE(
-            server.value()
-                ->LogSession(MakeLog(video_id, session, session_id))
-                .ok());
-        ASSERT_TRUE(
-            reference.LogSession(MakeLog(video_id, session_ref, session_id))
-                .ok());
+    std::optional<LogSessionRequest> resend;
+    for (int round = 0; round < 2; ++round) {
+      for (const auto& dot : oracle.Visit(video_id)) {
+        for (int u = 0; u < 6; ++u) {
+          ++session_id;
+          const auto session = viewers.SimulateSession(
+              video.truth, dot.dot_position, rng,
+              "w" + std::to_string(session_id));
+          const LogSessionRequest req = MakeLog(video_id, session, session_id);
+          ASSERT_TRUE(server.value()->LogSession(req).ok());
+          oracle.LogSession(req);
+          if (!resend.has_value()) resend = req;
+        }
       }
-    }
-    auto new_report = server.value()->Refine(video_id);
-    auto ref_report = reference.Refine(video_id);
-    ASSERT_TRUE(new_report.ok());
-    ASSERT_TRUE(ref_report.ok());
-    EXPECT_EQ(new_report.value().dots_updated, ref_report.value().dots_updated);
-    EXPECT_EQ(new_report.value().sessions_consumed,
-              ref_report.value().sessions_consumed);
-  }
+      ASSERT_TRUE(server.value()->LogSession(*resend).ok());
+      oracle.LogSession(*resend);
 
-  // Every video's final highlights agree field by field.
-  for (const auto& video_id : ids) {
-    const auto got = server.value()->GetHighlights(video_id).value();
-    const auto want = reference.GetHighlights(video_id).value();
-    ASSERT_EQ(got.highlights.size(), want.highlights.size());
-    for (size_t i = 0; i < got.highlights.size(); ++i) {
-      const auto& g = got.highlights[i];
-      const auto& w = want.highlights[i];
-      EXPECT_EQ(g.dot_index, w.dot_index);
-      EXPECT_DOUBLE_EQ(g.dot_position, w.dot_position);
-      EXPECT_DOUBLE_EQ(g.start, w.start);
-      EXPECT_DOUBLE_EQ(g.end, w.end);
-      EXPECT_EQ(g.iteration, w.iteration);
-      EXPECT_EQ(g.converged, w.converged);
+      auto got = server.value()->Refine(video_id);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const RefineReport want = oracle.Refine(video_id);
+      EXPECT_EQ(got.value().sessions_consumed, want.sessions_consumed)
+          << video_id << " round " << round;
+      EXPECT_EQ(got.value().dots_updated, want.dots_updated)
+          << video_id << " round " << round;
+      ASSERT_EQ(got.value().dots.size(), want.dots.size());
+      for (size_t i = 0; i < want.dots.size(); ++i) {
+        EXPECT_EQ(got.value().dots[i].dot_index, want.dots[i].dot_index);
+        EXPECT_EQ(got.value().dots[i].plays_used, want.dots[i].plays_used);
+        EXPECT_EQ(got.value().dots[i].new_position,
+                  want.dots[i].new_position);
+      }
+      EXPECT_EQ(server.value()->GetHighlights(video_id).value().highlights,
+                oracle.Visit(video_id))
+          << video_id << " round " << round;
     }
   }
 }
 
-TEST_F(HighlightServerTest, MetricsPageCarriesServerLabel) {
+TEST_F(HighlightServerTest, MetricsPageCarriesWebSeries) {
   auto db = OpenDb(dir_);
   auto server = HighlightServer::Create(BaseOptions(db.get()));
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.value()->OnPageVisit({video_id_, "u"}).ok());
   const std::string page = server.value()->MetricsPage();
-  EXPECT_NE(page.find("lightor_web_page_visits_total{"
-                      "server=\"concurrent\"}"),
-            std::string::npos);
+  // One serving implementation: the series carry no `server` label.
+  EXPECT_NE(page.find("\nlightor_web_page_visits_total "), std::string::npos);
+  EXPECT_EQ(page.find("server=\""), std::string::npos);
   EXPECT_NE(page.find("lightor_serving_queue_depth"), std::string::npos);
 }
 
