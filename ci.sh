@@ -287,11 +287,12 @@ fi
 
 # The storage engine and the fault-injection suite do the pointer- and
 # buffer-heavy work (log framing, torn-tail truncation, crash-point
-# enumeration), the JSON decoders take untrusted bytes off the wire, and
-# the channel scheduler's deadline heap hands string ids across threads:
+# enumeration), the JSON decoders take untrusted bytes off the wire, the
+# channel scheduler's deadline heap and DRR visits hand string ids and
+# batches across threads, and the epoll loop owns every socket buffer:
 # run their tests under AddressSanitizer + UBSan.
 if [ "${SKIP_ASAN:-0}" != "1" ]; then
-  echo "== address+ub sanitizer: storage + fault + deployment + recovery + json + fairness tests ($ASAN_BUILD_DIR) =="
+  echo "== address+ub sanitizer: storage + fault + deployment + recovery + json + ingest + net server tests ($ASAN_BUILD_DIR) =="
   cmake -B "$ASAN_BUILD_DIR" -S . -DLIGHTOR_SANITIZE=address,undefined \
       >/dev/null
   cmake --build "$ASAN_BUILD_DIR" -j --target \
@@ -299,8 +300,9 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
       storage_database_test storage_compaction_test \
       storage_faults_test storage_checkpoint_test \
       serving_deployment_test serving_recovery_test serving_fairness_test \
-      property_test hotpath_diff_test net_json_test
+      serving_stream_test property_test hotpath_diff_test net_json_test \
+      net_server_test
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
-      -R '^(storage_|serving_deployment|serving_recovery|serving_fairness|property|hotpath_diff|net_json)'
+      -R '^(storage_|serving_deployment|serving_recovery|serving_fairness|serving_stream_test|property|hotpath_diff|net_json|net_server)'
 fi
 echo "ci: OK"

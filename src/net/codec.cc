@@ -561,8 +561,6 @@ std::string EncodeJson(const serving::RefineReport& v) {
     const serving::DotRefineOutcome& dot = v.dots[i];
     out += i == 0 ? "{\"dot_index\":" : ",{\"dot_index\":";
     AppendJsonNumber(dot.dot_index, out);
-    out += ",\"status\":";
-    AppendJsonString(dot.status.ToString(), out);
     out += ",\"updated\":";
     out += Bool(dot.updated);
     out += dot.type == core::DotType::kTypeI ? ",\"type\":\"I\""

@@ -43,8 +43,8 @@ namespace lightor::net {
 ///   GetHighlightsResponse {"highlights":[Highlight],"snapshot_version",
 ///                          "provisional"}
 ///   RefineReport          {"video_id","dots_updated","sessions_consumed",
-///                          "dots":[{"dot_index","status","updated",
-///                                   "type","enough_plays","plays_used",
+///                          "dots":[{"dot_index","updated","type",
+///                                   "enough_plays","plays_used",
 ///                                   "old_position","new_position",
 ///                                   "converged"}]}
 ///   Highlight             {"video_id","dot_index","dot_position",

@@ -4,7 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,19 +14,11 @@
 #include <cmath>
 #include <cstring>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include "common/logging.h"
 #include "net/metrics.h"
 #include "obs/request_log.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
 
 namespace lightor::net {
 
@@ -101,7 +93,7 @@ common::Status NetOptions::Validate() const {
 }
 
 // ---------------------------------------------------------------------------
-// Poller: epoll on Linux, portable poll(2) fallback
+// Poller: epoll (the target is Linux-only)
 
 class Poller {
  public:
@@ -112,73 +104,7 @@ class Poller {
     bool error = false;
   };
 
-  virtual ~Poller() = default;
-  virtual common::Status Add(int fd, bool read, bool write) = 0;
-  virtual common::Status Modify(int fd, bool read, bool write) = 0;
-  virtual void Remove(int fd) = 0;
-  /// Appends ready events to `out`; `timeout_ms` caps the block.
-  virtual common::Status Wait(int timeout_ms, std::vector<Event>& out) = 0;
-};
-
-namespace {
-
-/// poll(2) backend: interest map rebuilt into a pollfd vector per wait.
-/// O(n) per wait, which is fine at the connection counts a single
-/// event-loop thread serves; it exists as the portable fallback and to
-/// keep both backends honest in tests.
-class PollPoller final : public Poller {
- public:
-  common::Status Add(int fd, bool read, bool write) override {
-    interest_[fd] = Mask(read, write);
-    return common::Status::OK();
-  }
-  common::Status Modify(int fd, bool read, bool write) override {
-    interest_[fd] = Mask(read, write);
-    return common::Status::OK();
-  }
-  void Remove(int fd) override { interest_.erase(fd); }
-
-  common::Status Wait(int timeout_ms, std::vector<Event>& out) override {
-    pollfds_.clear();
-    for (const auto& [fd, events] : interest_) {
-      pollfds_.push_back(pollfd{fd, events, 0});
-    }
-    const int n = ::poll(pollfds_.data(),
-                         static_cast<nfds_t>(pollfds_.size()), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return common::Status::OK();
-      return Errno("poll");
-    }
-    for (const pollfd& p : pollfds_) {
-      if (p.revents == 0) continue;
-      Event event;
-      event.fd = p.fd;
-      event.readable = (p.revents & POLLIN) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      // A half-closed peer shows up as POLLIN + EOF; POLLHUP means both
-      // directions are gone, so the connection is only good for closing.
-      event.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(event);
-    }
-    return common::Status::OK();
-  }
-
- private:
-  static short Mask(bool read, bool write) {
-    short events = 0;
-    if (read) events |= POLLIN;
-    if (write) events |= POLLOUT;
-    return events;
-  }
-
-  std::unordered_map<int, short> interest_;
-  std::vector<pollfd> pollfds_;
-};
-
-#ifdef __linux__
-class EpollPoller final : public Poller {
- public:
-  ~EpollPoller() override {
+  ~Poller() {
     if (epfd_ >= 0) ::close(epfd_);
   }
 
@@ -188,7 +114,7 @@ class EpollPoller final : public Poller {
     return common::Status::OK();
   }
 
-  common::Status Add(int fd, bool read, bool write) override {
+  common::Status Add(int fd, bool read, bool write) {
     epoll_event ev = Mask(fd, read, write);
     if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
       return Errno("epoll_ctl(ADD)");
@@ -196,7 +122,7 @@ class EpollPoller final : public Poller {
     return common::Status::OK();
   }
 
-  common::Status Modify(int fd, bool read, bool write) override {
+  common::Status Modify(int fd, bool read, bool write) {
     epoll_event ev = Mask(fd, read, write);
     if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
       return Errno("epoll_ctl(MOD)");
@@ -204,11 +130,10 @@ class EpollPoller final : public Poller {
     return common::Status::OK();
   }
 
-  void Remove(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void Remove(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  common::Status Wait(int timeout_ms, std::vector<Event>& out) override {
+  /// Appends ready events to `out`; `timeout_ms` caps the block.
+  common::Status Wait(int timeout_ms, std::vector<Event>& out) {
     epoll_event events[128];
     const int n = ::epoll_wait(epfd_, events, 128, timeout_ms);
     if (n < 0) {
@@ -237,22 +162,6 @@ class EpollPoller final : public Poller {
 
   int epfd_ = -1;
 };
-#endif  // __linux__
-
-std::unique_ptr<Poller> MakePoller(bool use_epoll) {
-#ifdef __linux__
-  if (use_epoll) {
-    auto poller = std::make_unique<EpollPoller>();
-    if (poller->Init().ok()) return poller;
-    LIGHTOR_LOG(Warning) << "net: epoll unavailable, falling back to poll";
-  }
-#else
-  (void)use_epoll;
-#endif
-  return std::make_unique<PollPoller>();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Connection / queue plumbing
@@ -399,7 +308,8 @@ common::Status HttpServer::Bind() {
     return Errno("fcntl(pipe)");
   }
 
-  poller_ = MakePoller(options_.use_epoll);
+  poller_ = std::make_unique<Poller>();
+  LIGHTOR_RETURN_IF_ERROR(poller_->Init());
   LIGHTOR_RETURN_IF_ERROR(poller_->Add(listen_fd_, true, false));
   LIGHTOR_RETURN_IF_ERROR(poller_->Add(wake_read_fd_, true, false));
   return common::Status::OK();

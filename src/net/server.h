@@ -78,14 +78,10 @@ struct NetOptions {
   /// Accepted connections above this are closed on arrival.
   size_t max_connections = 1024;
 
-  /// Event backend: epoll on Linux (the default), or the portable
-  /// poll(2) backend — also the fallback where epoll does not exist.
-  bool use_epoll = true;
-
   common::Status Validate() const;
 };
 
-/// Internal event backend (epoll / poll); defined in server.cc.
+/// Internal epoll event backend; defined in server.cc.
 class Poller;
 
 /// Per-request tracing state (trace context, span collector, stage
@@ -95,9 +91,9 @@ struct RequestTelemetry;
 
 /// A minimal dependency-free HTTP/1.1 server:
 ///
-///   * **One event-loop thread** (epoll, poll fallback) owns every
-///     socket: accepts, reads, incremental-parses, writes. No handler
-///     code ever runs on it, so a slow handler cannot stall the wire.
+///   * **One event-loop thread** (epoll) owns every socket: accepts,
+///     reads, incremental-parses, writes. No handler code ever runs on
+///     it, so a slow handler cannot stall the wire.
 ///   * **A fixed worker pool** executes handlers. The event loop
 ///     dispatches one request per connection at a time; pipelined
 ///     requests buffered behind it are parsed after its response is

@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "core/extractor.h"
 #include "core/lightor.h"
+#include "serving/channel_scheduler.h"
 #include "sim/platform.h"
 #include "sim/viewer.h"
 #include "storage/database.h"
@@ -61,11 +62,13 @@ struct ServerOptions {
 
   // --- Multi-channel live ingest ---
 
-  /// Ingest drain worker threads. 0 (the default) keeps the synchronous
-  /// path: `IngestChat` feeds the engine before returning. > 0 switches
-  /// to the fair-share tier: admitted batches land in per-channel queues
-  /// drained deficit-round-robin, so one flash-crowd channel cannot
-  /// starve a thousand cold ones (see serving/channel_scheduler.h).
+  /// Ingest drain worker threads. Admitted batches always land in
+  /// per-channel queues drained deficit-round-robin, so one flash-crowd
+  /// channel cannot starve a thousand cold ones (see
+  /// serving/channel_scheduler.h). With 0 (the default) `IngestChat`
+  /// runs the drain visit for its channel itself and returns once its
+  /// batch is in the engine; with > 0 worker threads drain the queues
+  /// and `IngestChat` returns once the batch is queued.
   size_t ingest_workers = 0;
   /// Per-channel admission budget: token-bucket refill rate in
   /// messages/second. 0 disables admission control. A batch exceeding
@@ -75,16 +78,17 @@ struct ServerOptions {
   /// Token-bucket capacity (burst allowance); 0 defaults to 4× the
   /// rate. Must exceed the largest batch clients send.
   double ingest_burst_messages = 0.0;
-  /// Per-channel queued-message cap in async mode; overflow throttles.
+  /// Per-channel queued-message cap on the workers' backlog; overflow
+  /// throttles. Not applied with no workers (there is no backlog).
   size_t ingest_queue_messages = 8192;
   /// DRR quantum: messages drained per channel per scheduler visit.
   size_t ingest_quantum_messages = 256;
-  /// Async mode only (requires `ingest_workers > 0`): a deadline for
-  /// provisional dots. When a drain leaves a channel with unpublished
-  /// messages, the scheduler arms a deadline at the oldest one's
-  /// admission time plus this delay, and its workers publish the channel
-  /// when it comes due, even below the refresh threshold and with no
-  /// further traffic. 0 disables it (threshold-only publishes).
+  /// Requires `ingest_workers > 0`: a deadline for provisional dots.
+  /// When a drain leaves a channel with unpublished messages, the
+  /// scheduler arms a deadline at the oldest one's admission time plus
+  /// this delay, and its workers publish the channel when it comes due,
+  /// even below the refresh threshold and with no further traffic. 0
+  /// disables it (threshold-only publishes).
   double stream_publish_max_delay_seconds = 0.0;
   /// Test seam: monotonic clock (seconds) for admission budgets and
   /// staleness accounting. Null uses the steady clock.
@@ -108,6 +112,19 @@ struct ServerOptions {
   /// were written since the last checkpoint. 0 disables the timer.
   double checkpoint_interval_seconds = 0.0;
 
+  /// The ingest scheduler's options: `ChannelScheduler` owns the rules
+  /// that validate them.
+  ChannelScheduler::Options IngestSchedulerOptions() const {
+    ChannelScheduler::Options sched;
+    sched.num_workers = ingest_workers;
+    sched.rate_messages_per_sec = ingest_rate_messages_per_sec;
+    sched.burst_messages = ingest_burst_messages;
+    sched.max_queue_messages = ingest_queue_messages;
+    sched.quantum_messages = ingest_quantum_messages;
+    sched.clock = ingest_clock;
+    return sched;
+  }
+
   /// Validates the dependency pointers and knob ranges.
   common::Status Validate() const {
     if (platform == nullptr)
@@ -126,15 +143,6 @@ struct ServerOptions {
     if (stream_refresh_messages == 0)
       return common::Status::InvalidArgument(
           "ServerOptions: stream_refresh_messages == 0");
-    if (ingest_rate_messages_per_sec < 0.0 || ingest_burst_messages < 0.0)
-      return common::Status::InvalidArgument(
-          "ServerOptions: negative ingest budget");
-    if (ingest_workers > 0 && ingest_queue_messages == 0)
-      return common::Status::InvalidArgument(
-          "ServerOptions: ingest_queue_messages == 0 with ingest workers");
-    if (ingest_workers > 0 && ingest_quantum_messages == 0)
-      return common::Status::InvalidArgument(
-          "ServerOptions: ingest_quantum_messages == 0 with ingest workers");
     if (stream_publish_max_delay_seconds < 0.0)
       return common::Status::InvalidArgument(
           "ServerOptions: negative stream_publish_max_delay_seconds");
@@ -142,7 +150,7 @@ struct ServerOptions {
       return common::Status::InvalidArgument(
           "ServerOptions: stream_publish_max_delay_seconds needs ingest "
           "workers to keep it");
-    return common::Status::OK();
+    return IngestSchedulerOptions().Validate();
   }
 };
 
@@ -178,9 +186,9 @@ struct IngestChatRequest {
 struct IngestChatResponse {
   size_t accepted = 0;
   size_t rejected = 0;  ///< out-of-order messages dropped
-  /// True when this batch crossed the refresh threshold and published a
-  /// new provisional snapshot. Always false on the asynchronous ingest
-  /// path (accepted messages are queued; publishes happen on drain).
+  /// True when this call's drain crossed the refresh threshold and
+  /// published a new provisional snapshot. Always false with ingest
+  /// workers (accepted messages are queued; publishes happen on drain).
   bool provisional_published = false;
   /// Version of the currently served snapshot (0 before the first
   /// provisional publish).
@@ -228,10 +236,6 @@ struct GetHighlightsResponse {
 /// Outcome of one refinement pass for one red dot.
 struct DotRefineOutcome {
   int32_t dot_index = 0;
-  /// Always OK in a returned report: a pass persists its dots all or
-  /// none and fails whole on a storage error. Kept so the `/refine` body
-  /// keeps its shape.
-  common::Status status;
   /// True when the pass had plays for this dot and re-published it.
   bool updated = false;
   core::DotType type = core::DotType::kTypeII;

@@ -28,13 +28,13 @@ common::Status ChannelScheduler::Options::Validate() const {
     return common::Status::InvalidArgument(
         "ChannelScheduler: negative burst_messages");
   }
-  if (num_workers > 0 && max_queue_messages == 0) {
+  if (max_queue_messages == 0) {
     return common::Status::InvalidArgument(
-        "ChannelScheduler: max_queue_messages == 0 with drain workers");
+        "ChannelScheduler: max_queue_messages == 0");
   }
-  if (num_workers > 0 && quantum_messages == 0) {
+  if (quantum_messages == 0) {
     return common::Status::InvalidArgument(
-        "ChannelScheduler: quantum_messages == 0 with drain workers");
+        "ChannelScheduler: quantum_messages == 0");
   }
   return common::Status::OK();
 }
@@ -42,9 +42,8 @@ common::Status ChannelScheduler::Options::Validate() const {
 common::Result<std::unique_ptr<ChannelScheduler>> ChannelScheduler::Create(
     Options options, DrainFn drain, PublishFn publish) {
   LIGHTOR_RETURN_IF_ERROR(options.Validate());
-  if (options.num_workers > 0 && drain == nullptr) {
-    return common::Status::InvalidArgument(
-        "ChannelScheduler: drain workers configured without a DrainFn");
+  if (drain == nullptr) {
+    return common::Status::InvalidArgument("ChannelScheduler: null DrainFn");
   }
   if (options.clock == nullptr) options.clock = SteadyNowSeconds;
   return std::unique_ptr<ChannelScheduler>(
@@ -97,27 +96,6 @@ ChannelScheduler::Admission ChannelScheduler::ChargeBucket(Channel& ch,
   return result;
 }
 
-ChannelScheduler::Admission ChannelScheduler::Admit(
-    const std::string& video_id, size_t offered) {
-  std::lock_guard<std::mutex> lk(mu_);
-  Channel& ch = channels_[video_id];
-  if (ch.closed) {
-    Admission refused;
-    refused.admitted = false;
-    refused.closed = true;
-    return refused;
-  }
-  Admission result = ChargeBucket(ch, offered, Now());
-  if (result.admitted) {
-    ch.admitted_messages += offered;
-    ChannelAdmittedMessagesCounter().Increment(offered);
-  } else {
-    ++ch.throttled_batches;
-    ChannelThrottledCounter().Increment();
-  }
-  return result;
-}
-
 ChannelScheduler::Admission ChannelScheduler::Offer(
     const std::string& video_id, std::vector<core::Message> messages,
     size_t offered) {
@@ -130,7 +108,8 @@ ChannelScheduler::Admission ChannelScheduler::Offer(
     return refused;
   }
   const double now = Now();
-  if (ch.queued_messages + messages.size() > options_.max_queue_messages) {
+  if (options_.num_workers > 0 &&
+      ch.queued_messages + messages.size() > options_.max_queue_messages) {
     Admission refused;
     refused.admitted = false;
     // Queue pressure, not bucket exhaustion: estimate the delay as the
@@ -163,14 +142,27 @@ ChannelScheduler::Admission ChannelScheduler::Offer(
     ch.queue.push_back(std::move(batch));
     ch.queued_messages += count;
     total_queued_ += count;
+    result.ticket = ++ch.enqueued_batches;
     ChannelQueuedMessagesGauge().Add(static_cast<double>(count));
-    if (!ch.in_service && !ch.in_active) {
-      ch.in_active = true;
-      active_.push_back(video_id);
-      work_cv_.notify_one();
-    }
+    Activate(video_id, ch);
   }
   return result;
+}
+
+bool ChannelScheduler::DrainOffered(const std::string& video_id,
+                                    uint64_t ticket) {
+  if (options_.num_workers > 0 || ticket == 0) return false;
+  std::unique_lock<std::mutex> lk(mu_);
+  Channel& ch = channels_[video_id];
+  bool published = false;
+  while (ch.drained_batches < ticket) {
+    if (ch.in_service) {
+      flush_cv_.wait(lk);
+    } else if (Visit(lk, video_id, ch)) {
+      published = true;
+    }
+  }
+  return published;
 }
 
 void ChannelScheduler::ArmDeadline(const std::string& video_id,
@@ -277,11 +269,6 @@ std::vector<ChannelScheduler::ChannelSnapshot> ChannelScheduler::Snapshot()
   return out;
 }
 
-size_t ChannelScheduler::TotalQueuedMessages() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return total_queued_;
-}
-
 bool ChannelScheduler::PopDueDeadline(std::string* video_id) {
   if (deadlines_.empty()) return false;
   const double now = Now();
@@ -340,42 +327,55 @@ void ChannelScheduler::WorkerLoop() {
     Channel& ch = channels_[video_id];
     ch.in_active = false;
     if (ch.queue.empty()) continue;  // drained by an earlier visit
-    ch.in_service = true;
-    // DRR: move whole batches while they fit the accumulated deficit,
-    // but always at least one, so a batch larger than the quantum makes
-    // progress instead of pinning the channel forever.
-    ch.deficit += options_.quantum_messages;
-    std::vector<Batch> take;
-    size_t taken = 0;
-    while (!ch.queue.empty() &&
-           (take.empty() ||
-            taken + ch.queue.front().messages.size() <= ch.deficit)) {
-      taken += ch.queue.front().messages.size();
-      take.push_back(std::move(ch.queue.front()));
-      ch.queue.pop_front();
-    }
-    ch.queued_messages -= taken;
-    total_queued_ -= taken;
-    ch.deficit = ch.queue.empty() ? 0
-                                  : (ch.deficit > taken ? ch.deficit - taken
-                                                        : 0);
-    ChannelQueuedMessagesGauge().Add(-static_cast<double>(taken));
-    ChannelDrainRoundsCounter().Increment();
-    lk.unlock();
-    drain_(video_id, std::move(take));
-    lk.lock();
-    ch.in_service = false;
-    if (!ch.queue.empty()) {
-      if (!ch.in_active) {
-        ch.in_active = true;
-        active_.push_back(video_id);
-        work_cv_.notify_one();
-      }
-    } else {
-      ChannelActiveGauge().Add(-1.0);
-      flush_cv_.notify_all();
-    }
+    Visit(lk, video_id, ch);
   }
+}
+
+void ChannelScheduler::Activate(const std::string& video_id, Channel& ch) {
+  if (options_.num_workers == 0 || ch.in_service || ch.in_active) return;
+  ch.in_active = true;
+  active_.push_back(video_id);
+  work_cv_.notify_one();
+}
+
+bool ChannelScheduler::Visit(std::unique_lock<std::mutex>& lk,
+                             const std::string& video_id, Channel& ch) {
+  ch.in_service = true;
+  // DRR: move whole batches while they fit the accumulated deficit,
+  // but always at least one, so a batch larger than the quantum makes
+  // progress instead of pinning the channel forever.
+  ch.deficit += options_.quantum_messages;
+  std::vector<Batch> take;
+  size_t taken = 0;
+  while (!ch.queue.empty() &&
+         (take.empty() ||
+          taken + ch.queue.front().messages.size() <= ch.deficit)) {
+    taken += ch.queue.front().messages.size();
+    take.push_back(std::move(ch.queue.front()));
+    ch.queue.pop_front();
+  }
+  const size_t batches = take.size();
+  ch.queued_messages -= taken;
+  total_queued_ -= taken;
+  ch.deficit = ch.queue.empty() ? 0
+                                : (ch.deficit > taken ? ch.deficit - taken
+                                                      : 0);
+  ChannelQueuedMessagesGauge().Add(-static_cast<double>(taken));
+  ChannelDrainRoundsCounter().Increment();
+  lk.unlock();
+  const bool published = drain_(video_id, std::move(take));
+  lk.lock();
+  ch.in_service = false;
+  ch.drained_batches += batches;
+  if (ch.queue.empty()) {
+    ChannelActiveGauge().Add(-1.0);
+  } else {
+    Activate(video_id, ch);
+  }
+  // Flushers wait for an empty channel; with no workers, callers waiting
+  // for their ticket wait for the visit in service to end.
+  flush_cv_.notify_all();
+  return published;
 }
 
 }  // namespace lightor::serving

@@ -31,20 +31,23 @@ namespace lightor::serving {
 ///     workers and engine time. Refusal happens before anything is
 ///     queued or ingested: a throttled batch is never partially applied,
 ///     which is what makes "200-acked implies ingested" a hard property.
-///   * **Deficit-round-robin draining.** With `num_workers > 0` admitted
-///     batches land in a per-channel FIFO and worker threads drain
-///     channels round-robin, each visit moving up to `quantum_messages`
-///     (always at least one whole batch, so oversized batches cannot
-///     stall a channel). Service per round is bounded per channel, so a
-///     hot channel's backlog cannot starve cold channels: a cold
-///     channel's queue delay is bounded by (active channels × quantum),
-///     independent of how deep the hot queue is.
-///   * **Publish deadlines.** The server arms a deadline for a channel
-///     whose drain left messages unpublished (`ArmDeadline`). A min-heap
-///     keeps one live deadline per channel; workers check its top before
-///     every DRR visit and, when idle, sleep until it rather than on a
-///     fixed period, so a quiet channel next to a hot one is published
-///     within the bound instead of at the next global lull.
+///   * **Deficit-round-robin draining.** Admitted batches land in a
+///     per-channel FIFO and are drained in visits, each moving up to
+///     `quantum_messages` (always at least one whole batch, so oversized
+///     batches cannot stall a channel). With `num_workers > 0` worker
+///     threads visit channels round-robin. Service per round is bounded
+///     per channel, so a hot channel's backlog cannot starve cold
+///     channels: a cold channel's queue delay is bounded by (active
+///     channels × quantum), independent of how deep the hot queue is.
+///     With no workers each offering caller runs the same visit step on
+///     its own channel (`DrainOffered`) until its batch is drained.
+///   * **Publish deadlines** (workers only). The server arms a deadline
+///     for a channel whose drain left messages unpublished
+///     (`ArmDeadline`). A min-heap keeps one live deadline per channel;
+///     workers check its top before every DRR visit and, when idle,
+///     sleep until it rather than on a fixed period, so a quiet channel
+///     next to a hot one is published within the bound instead of at the
+///     next global lull.
 ///
 /// The scheduler owns queues, budgets and deadlines only; it never
 /// touches engines. The server supplies a `DrainFn` that feeds a
@@ -54,17 +57,17 @@ namespace lightor::serving {
 /// `RecordPublish`, which disarms the channel's deadline and feeds the
 /// staleness columns of `Snapshot()` / the `/debug/channels` endpoint.
 ///
-/// Lock ordering: shard → scheduler. Callers may invoke `Admit`/`Offer`/
+/// Lock ordering: shard → scheduler. Callers may invoke `Offer`/
 /// `ArmDeadline`/`RecordPublish` (which take the scheduler mutex) while
 /// holding a shard mutex; the scheduler never holds its mutex across
 /// `DrainFn`/`PublishFn` callbacks, so the order is acyclic.
-/// `FlushChannel`/`CloseChannel`/`FlushAll` block on drain workers and
-/// must be called WITHOUT any shard lock.
+/// `DrainOffered`/`FlushChannel`/`CloseChannel`/`FlushAll` run or wait
+/// for drains and must be called WITHOUT any shard lock.
 class ChannelScheduler {
  public:
   struct Options {
-    /// Drain worker threads. 0 = admission-only mode: `Offer` is not
-    /// allowed, callers ingest synchronously after `Admit`.
+    /// Drain worker threads. 0: each caller drains the batch it offered
+    /// on its own thread (`DrainOffered`).
     size_t num_workers = 0;
     /// Token-bucket refill rate per channel, messages/second. 0 disables
     /// admission control (every batch admitted).
@@ -73,8 +76,10 @@ class ChannelScheduler {
     /// Must exceed the largest batch a client may send, or that batch
     /// can never be admitted.
     double burst_messages = 0.0;
-    /// Per-channel queued-message cap (async mode). A batch that would
-    /// overflow it is refused like a throttle.
+    /// Per-channel queued-message cap for the workers' backlog. A batch
+    /// that would overflow it is refused like a throttle. Not applied
+    /// with no workers: each caller drains its own batch, so there is no
+    /// backlog to bound.
     size_t max_queue_messages = 8192;
     /// DRR quantum: messages moved per channel per scheduler visit.
     size_t quantum_messages = 256;
@@ -91,16 +96,18 @@ class ChannelScheduler {
     double enqueue_seconds = 0.0;
   };
 
-  /// Drains one channel's admitted batches into its engine. Invoked on a
-  /// scheduler worker with no scheduler lock held.
+  /// Drains one channel's admitted batches into its engine and returns
+  /// whether that published a provisional snapshot. Invoked on a
+  /// scheduler worker, or on the offering caller with no workers, with
+  /// no scheduler lock held.
   using DrainFn =
-      std::function<void(const std::string& video_id, std::vector<Batch>)>;
+      std::function<bool(const std::string& video_id, std::vector<Batch>)>;
   /// Publishes a channel whose armed deadline came due. Invoked on a
   /// scheduler worker with no scheduler lock held; the deadline may have
   /// been met in the meantime, so the callee re-checks the channel's age.
   using PublishFn = std::function<void(const std::string& video_id)>;
 
-  /// Outcome of `Admit`/`Offer`.
+  /// Outcome of `Offer`.
   struct Admission {
     bool admitted = true;
     /// When refused: seconds until the bucket has refilled enough for a
@@ -109,6 +116,9 @@ class ChannelScheduler {
     /// Refused because the channel was closed by `CloseChannel` (stream
     /// finalizing), not because of budget.
     bool closed = false;
+    /// Position of the queued batch in its channel's FIFO (counted from
+    /// 1); 0 when nothing was queued. `DrainOffered` waits for it.
+    uint64_t ticket = 0;
   };
 
   static common::Result<std::unique_ptr<ChannelScheduler>> Create(
@@ -118,16 +128,19 @@ class ChannelScheduler {
   ChannelScheduler(const ChannelScheduler&) = delete;
   ChannelScheduler& operator=(const ChannelScheduler&) = delete;
 
-  /// Admission-only check: charges the channel's bucket for `offered`
-  /// messages (all-or-nothing). Used on the synchronous ingest path.
-  Admission Admit(const std::string& video_id, size_t offered);
-
-  /// Admission + enqueue (async mode): charges the bucket for `offered`
-  /// messages and, when admitted, queues `messages` (the subset that
-  /// passed the caller's ordering filter) for DRR draining. Nothing is
-  /// queued on refusal.
+  /// Admission + enqueue: charges the bucket for `offered` messages
+  /// (all-or-nothing) and, when admitted, queues `messages` (the subset
+  /// that passed the caller's ordering filter) for DRR draining. Nothing
+  /// is queued on refusal.
   Admission Offer(const std::string& video_id,
                   std::vector<core::Message> messages, size_t offered);
+
+  /// With no workers: runs DRR visits of `video_id` on the calling thread
+  /// until the batch `Offer` queued as `ticket` is drained, waiting while
+  /// another caller drains the channel. Returns whether a drain it ran
+  /// published. With workers (or `ticket == 0`) it returns false at once:
+  /// the workers drain the batch. Must not be called under a shard lock.
+  bool DrainOffered(const std::string& video_id, uint64_t ticket);
 
   /// Server callback: `video_id` has unpublished messages that must be
   /// published by `deadline_seconds` (scheduler clock). Keeps at most one
@@ -175,8 +188,8 @@ class ChannelScheduler {
   };
   std::vector<ChannelSnapshot> Snapshot() const;
 
-  size_t TotalQueuedMessages() const;
-  const Options& options() const { return options_; }
+  /// Monotonic seconds from the (injectable) clock.
+  double Now() const { return options_.clock(); }
 
  private:
   /// All live-ingest bookkeeping of one channel; guarded by mu_.
@@ -189,9 +202,13 @@ class ChannelScheduler {
     std::deque<Batch> queue;
     size_t queued_messages = 0;
     size_t deficit = 0;
-    bool in_service = false;  ///< a worker is draining this channel
+    bool in_service = false;  ///< a visit is draining this channel
     bool in_active = false;   ///< queued on the round-robin list
     bool closed = false;
+    // Batches ever queued and ever drained; a batch's ticket is its
+    // `enqueued_batches` count, and visits drain in FIFO order.
+    uint64_t enqueued_batches = 0;
+    uint64_t drained_batches = 0;
     // Publish deadline; heap entries that do not match it are stale.
     bool deadline_armed = false;
     double deadline_seconds = 0.0;
@@ -215,7 +232,6 @@ class ChannelScheduler {
 
   ChannelScheduler(Options options, DrainFn drain, PublishFn publish);
 
-  double Now() const { return options_.clock(); }
   double EffectiveBurst() const;
   /// Refills the bucket and charges it for `offered`; on refusal fills
   /// in the retry delay. Requires mu_ held.
@@ -223,6 +239,16 @@ class ChannelScheduler {
   /// Pops stale heap entries and, when the earliest live deadline is
   /// due, pops and disarms it into `video_id`. Requires mu_ held.
   bool PopDueDeadline(std::string* video_id);
+  /// Puts a channel with queued work on the workers' round-robin list
+  /// (no-op with no workers, or while it is listed or in service).
+  /// Requires mu_ held.
+  void Activate(const std::string& video_id, Channel& ch);
+  /// One DRR visit: moves up to a quantum of `ch`'s queue (at least one
+  /// batch) into `DrainFn` with mu_ released, then re-lists the channel
+  /// if work remains. Requires `lk` to hold mu_, a non-empty queue and no
+  /// visit in service. Returns what `DrainFn` returned.
+  bool Visit(std::unique_lock<std::mutex>& lk, const std::string& video_id,
+             Channel& ch);
   void WorkerLoop();
 
   Options options_;
@@ -231,7 +257,7 @@ class ChannelScheduler {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< work queued / stopping
-  std::condition_variable flush_cv_;  ///< a channel finished draining
+  std::condition_variable flush_cv_;  ///< a visit finished
   std::unordered_map<std::string, Channel> channels_;
   /// Round-robin order of channels with queued work (DRR active list).
   std::deque<std::string> active_;

@@ -58,28 +58,19 @@ HighlightServer::HighlightServer(ServerOptions options)
   for (auto& [video_id, watermark] : SeedWatermarksFromDb(*options_.db)) {
     ShardFor(video_id).videos[video_id].watermark = watermark;
   }
-  // The per-channel admission + DRR tier. Always constructed: with
-  // ingest_workers == 0 it is admission-only (and free when no budget is
-  // configured); its workers call DrainChannelBatches, which takes shard
+  // The per-channel admission + DRR tier. Its workers (or, with none,
+  // the ingesting callers) call DrainChannelBatches, which takes shard
   // locks, so it must come after the shards and may start immediately.
-  {
-    ChannelScheduler::Options sched;
-    sched.num_workers = options_.ingest_workers;
-    sched.rate_messages_per_sec = options_.ingest_rate_messages_per_sec;
-    sched.burst_messages = options_.ingest_burst_messages;
-    sched.max_queue_messages = options_.ingest_queue_messages;
-    sched.quantum_messages = options_.ingest_quantum_messages;
-    sched.clock = options_.ingest_clock;
-    ingest_scheduler_ =
-        ChannelScheduler::Create(
-            std::move(sched),
-            [this](const std::string& id,
-                   std::vector<ChannelScheduler::Batch> batches) {
-              DrainChannelBatches(id, std::move(batches));
-            },
-            [this](const std::string& id) { PublishDueProvisional(id); })
-            .value();
-  }
+  // Validate() ran the scheduler's own checks on these options.
+  ingest_scheduler_ =
+      ChannelScheduler::Create(
+          options_.IngestSchedulerOptions(),
+          [this](const std::string& id,
+                 std::vector<ChannelScheduler::Batch> batches) {
+            return DrainChannelBatches(id, std::move(batches));
+          },
+          [this](const std::string& id) { PublishDueProvisional(id); })
+          .value();
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -357,17 +348,10 @@ common::Result<PageVisitResponse> HighlightServer::OnPageVisit(
   return response;
 }
 
-double HighlightServer::IngestNow() const {
-  if (options_.ingest_clock) return options_.ingest_clock();
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 bool HighlightServer::MaybePublishProvisional(const std::string& video_id,
                                               VideoState& state, bool force) {
   if (state.stream == nullptr || state.stream_since_publish == 0) return false;
-  const double now = IngestNow();
+  const double now = ingest_scheduler_->Now();
   const bool threshold =
       state.stream_since_publish >= options_.stream_refresh_messages;
   // The same sum the armed deadline holds: `now - oldest >= delay` can
@@ -387,9 +371,8 @@ bool HighlightServer::MaybePublishProvisional(const std::string& video_id,
   state.snapshot = std::move(snapshot);
   StreamProvisionalPublishesCounter().Increment();
   // Staleness: admission of the oldest message this snapshot newly
-  // covers → now. On the synchronous path that is intra-request time;
-  // on the async path it includes the DRR queue wait, which is the
-  // number the fairness SLO bounds.
+  // covers → now. It includes the DRR queue wait, which is the number
+  // the fairness SLO bounds.
   const double staleness =
       state.has_unpublished
           ? std::max(0.0, now - state.oldest_unpublished_seconds)
@@ -428,78 +411,54 @@ common::Result<IngestChatResponse> HighlightServer::IngestChat(
     LIGHTOR_LOG(Info) << "serving: live stream opened for " << req.video_id;
   }
   IngestChatResponse response;
-  if (options_.ingest_workers == 0) {
-    // Synchronous path: admission check, then feed the engine inline.
-    const ChannelScheduler::Admission admission =
-        ingest_scheduler_->Admit(req.video_id, req.messages.size());
-    if (!admission.admitted) {
-      if (admission.closed) {
-        return common::Status::FailedPrecondition(
-            "IngestChat: stream is finalizing: " + req.video_id);
-      }
-      response.throttled = true;
-      response.retry_after_seconds = admission.retry_after_seconds;
-    } else {
-      auto counts = state.stream->IngestBatch(req.messages);
-      if (!counts.ok()) return counts.status();
-      response.accepted = counts.value().accepted;
-      response.rejected = counts.value().rejected;
-      ingest_scheduler_->RecordRejected(req.video_id, response.rejected);
-      if (response.accepted > 0) {
-        state.stream_since_publish += response.accepted;
-        if (!state.has_unpublished) {
-          state.has_unpublished = true;
-          state.oldest_unpublished_seconds = IngestNow();
-        }
-      }
-      response.provisional_published =
-          MaybePublishProvisional(req.video_id, state, /*force=*/false);
+  // Mirror the engine's ordering rule here so the tally acked to the
+  // client equals what the engine will decide at drain time, then hand
+  // the accepted tail to the DRR queue. The watermark only advances when
+  // the batch clears the budget — a throttled batch leaves no trace.
+  std::vector<core::Message> accepted;
+  accepted.reserve(req.messages.size());
+  double watermark = state.admit_watermark;
+  bool any = state.admit_any;
+  size_t rejected = 0;
+  for (const auto& m : req.messages) {
+    if (any && m.timestamp < watermark) {
+      ++rejected;
+      continue;
     }
-  } else {
-    // Fair-share path: mirror the engine's ordering rule here so the
-    // tally acked to the client equals what the engine will decide at
-    // drain time, then hand the accepted tail to the DRR queues. The
-    // watermark only advances when the batch clears the budget — a
-    // throttled batch leaves no trace.
-    std::vector<core::Message> accepted;
-    accepted.reserve(req.messages.size());
-    double watermark = state.admit_watermark;
-    bool any = state.admit_any;
-    size_t rejected = 0;
-    for (const auto& m : req.messages) {
-      if (any && m.timestamp < watermark) {
-        ++rejected;
-        continue;
-      }
-      watermark = m.timestamp;
-      any = true;
-      accepted.push_back(m);
-    }
-    const size_t accepted_count = accepted.size();
-    const ChannelScheduler::Admission admission = ingest_scheduler_->Offer(
-        req.video_id, std::move(accepted), req.messages.size());
-    if (!admission.admitted) {
-      if (admission.closed) {
-        return common::Status::FailedPrecondition(
-            "IngestChat: stream is finalizing: " + req.video_id);
-      }
-      response.throttled = true;
-      response.retry_after_seconds = admission.retry_after_seconds;
-    } else {
-      state.admit_watermark = watermark;
-      state.admit_any = any;
-      response.accepted = accepted_count;
-      response.rejected = rejected;
-      ingest_scheduler_->RecordRejected(req.video_id, rejected);
-    }
+    watermark = m.timestamp;
+    any = true;
+    accepted.push_back(m);
   }
+  const size_t accepted_count = accepted.size();
+  const ChannelScheduler::Admission admission = ingest_scheduler_->Offer(
+      req.video_id, std::move(accepted), req.messages.size());
+  if (!admission.admitted) {
+    if (admission.closed) {
+      return common::Status::FailedPrecondition(
+          "IngestChat: stream is finalizing: " + req.video_id);
+    }
+    response.throttled = true;
+    response.retry_after_seconds = admission.retry_after_seconds;
+  } else {
+    state.admit_watermark = watermark;
+    state.admit_any = any;
+    response.accepted = accepted_count;
+    response.rejected = rejected;
+    ingest_scheduler_->RecordRejected(req.video_id, rejected);
+  }
+  // With no ingest workers this thread drains the batch into the engine
+  // before answering; the drain takes the shard lock itself.
+  lk.unlock();
+  response.provisional_published =
+      ingest_scheduler_->DrainOffered(req.video_id, admission.ticket);
+  lk = LockShard(shard);
   if (state.snapshot != nullptr) {
     response.snapshot_version = state.snapshot->version;
   }
   return response;
 }
 
-void HighlightServer::DrainChannelBatches(
+bool HighlightServer::DrainChannelBatches(
     const std::string& video_id,
     std::vector<ChannelScheduler::Batch> batches) {
   obs::ScopedSpan span("serving.DrainChannel");
@@ -514,7 +473,7 @@ void HighlightServer::DrainChannelBatches(
     size_t lost = 0;
     for (const auto& b : batches) lost += b.messages.size();
     ingest_scheduler_->RecordRejected(video_id, lost);
-    return;
+    return false;
   }
   VideoState& state = it->second;
   const bool was_unpublished = state.has_unpublished;
@@ -533,11 +492,13 @@ void HighlightServer::DrainChannelBatches(
       ingest_scheduler_->RecordRejected(video_id, counts.value().rejected);
     }
   }
-  MaybePublishProvisional(video_id, state, /*force=*/false);
+  const bool published =
+      MaybePublishProvisional(video_id, state, /*force=*/false);
   // First unpublished messages since the last publish: the bound becomes
   // a deadline the scheduler's workers keep, however quiet the channel
   // goes from here.
   if (!was_unpublished) ArmPublishDeadline(video_id, state);
+  return published;
 }
 
 void HighlightServer::ArmPublishDeadline(const std::string& video_id,
@@ -566,7 +527,7 @@ void HighlightServer::PublishAllProvisionals() {
 }
 
 void HighlightServer::FlushIngest() {
-  if (options_.ingest_workers > 0) ingest_scheduler_->FlushAll();
+  ingest_scheduler_->FlushAll();
   PublishAllProvisionals();
 }
 
@@ -672,7 +633,8 @@ common::Result<FinalizeStreamResponse> HighlightServer::FinalizeStream(
     // not yet; account its staleness like any other publish.
     if (state.has_unpublished) {
       const double staleness =
-          std::max(0.0, IngestNow() - state.oldest_unpublished_seconds);
+          std::max(0.0, ingest_scheduler_->Now() -
+                            state.oldest_unpublished_seconds);
       ProvisionalStalenessHistogram().Observe(staleness);
       ingest_scheduler_->RecordPublish(req.video_id, staleness);
       state.has_unpublished = false;

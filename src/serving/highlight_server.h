@@ -117,11 +117,12 @@ class HighlightServer {
   /// Admission: when a per-channel budget is configured
   /// (`ingest_rate_messages_per_sec`), a batch exceeding the channel's
   /// tokens returns OK with `throttled = true` and nothing applied.
-  /// With `ingest_workers > 0` accepted messages are queued for
-  /// fair-share (DRR) draining instead of being ingested inline; the
-  /// accept/reject tally still matches what the engine will do (the
-  /// admission mirror enforces the same ordering rule), so an acked
-  /// count is a promise the engine keeps.
+  /// Accepted messages are queued for fair-share (DRR) draining; the
+  /// accept/reject tally matches what the engine will do (the admission
+  /// mirror enforces the same ordering rule), so an acked count is a
+  /// promise the engine keeps. With no ingest workers the call drains
+  /// its own batch and returns once it is in the engine, with any
+  /// provisional snapshot it crossed the threshold for published.
   common::Result<IngestChatResponse> IngestChat(const IngestChatRequest& req);
 
   /// Blocks until every queued ingest batch has been drained into its
@@ -216,7 +217,7 @@ class HighlightServer {
     std::unique_ptr<core::StreamingInitializer> stream;
     /// Accepted messages since the last provisional publish.
     size_t stream_since_publish = 0;
-    /// Admission mirror of the engine's ordering rule (async mode): the
+    /// Admission mirror of the engine's ordering rule: the
     /// timestamp of the last message acked for this channel, so the
     /// accept/reject tally computed at admission equals what the engine
     /// will decide at drain time.
@@ -293,9 +294,6 @@ class HighlightServer {
       const std::string& video_id,
       const std::vector<core::RedDot>& dots) const;
 
-  /// Monotonic seconds from the (injectable) ingest clock.
-  double IngestNow() const;
-
   /// Publishes a provisional snapshot for `state` if the refresh
   /// threshold or the staleness age trigger fires (`force` publishes any
   /// unpublished progress regardless). Requires the shard mutex held.
@@ -304,8 +302,9 @@ class HighlightServer {
                                bool force);
 
   /// ChannelScheduler drain callback: feeds a channel's admitted batches
-  /// into its shard engine and publishes when due.
-  void DrainChannelBatches(const std::string& video_id,
+  /// into its shard engine and publishes when due. Returns whether it
+  /// published.
+  bool DrainChannelBatches(const std::string& video_id,
                            std::vector<ChannelScheduler::Batch> batches);
 
   /// Arms the channel's publish deadline (oldest unpublished admission +
@@ -359,12 +358,11 @@ class HighlightServer {
   storage::Crawler crawler_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Per-channel admission budgets + DRR drain tier (always present;
-  /// with `ingest_workers == 0` it is admission-only and `IngestChat`
-  /// stays synchronous). Workers call back into `DrainChannelBatches`
-  /// and `PublishDueProvisional`, which take shard locks — the scheduler
-  /// never holds its own lock across a callback, so shard → scheduler
-  /// ordering is acyclic.
+  /// Per-channel admission budgets + DRR drain tier. Its workers (or,
+  /// with none, the ingesting callers) call back into
+  /// `DrainChannelBatches` and `PublishDueProvisional`, which take shard
+  /// locks — the scheduler never holds its own lock across a callback,
+  /// so shard → scheduler ordering is acyclic.
   std::unique_ptr<ChannelScheduler> ingest_scheduler_;
 
   /// Coarse database mutex; see the lock-ordering note above.

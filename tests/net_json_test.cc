@@ -614,7 +614,6 @@ TEST(CodecTest, EncodingIsCanonical) {
   dot.converged = false;
   report.dots.push_back(dot);
   dot.dot_index = 1;
-  dot.status = common::Status::IoError("disk \"full\"");
   dot.updated = false;
   dot.type = core::DotType::kTypeII;
   dot.new_position = 1.0 / 3.0;
@@ -623,10 +622,10 @@ TEST(CodecTest, EncodingIsCanonical) {
   EXPECT_EQ(EncodeJson(report),
             "{\"video_id\":\"vid-3\",\"dots_updated\":1,"
             "\"sessions_consumed\":12,\"dots\":[{\"dot_index\":0,"
-            "\"status\":\"OK\",\"updated\":true,\"type\":\"I\","
+            "\"updated\":true,\"type\":\"I\","
             "\"enough_plays\":true,\"plays_used\":9,\"old_position\":100,"
             "\"new_position\":97.125,\"converged\":false},{\"dot_index\":1,"
-            "\"status\":\"IoError: disk \\\"full\\\"\",\"updated\":false,"
+            "\"updated\":false,"
             "\"type\":\"II\",\"enough_plays\":true,\"plays_used\":9,"
             "\"old_position\":100,\"new_position\":0.33333333333333331,"
             "\"converged\":true}]}");

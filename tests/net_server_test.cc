@@ -117,17 +117,6 @@ TEST(HttpServerTest, RoundTripAndKeepAlive) {
   server->Shutdown();
 }
 
-TEST(HttpServerTest, PollBackendRoundTrip) {
-  NetOptions options;
-  options.use_epoll = false;
-  auto server = MustStart(std::move(options));
-  HttpClient client("127.0.0.1", server->port());
-  auto resp = client.Get("/ping");
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  EXPECT_EQ(resp.value().status, 200);
-  server->Shutdown();
-}
-
 TEST(HttpServerTest, RouteMisses404And405) {
   auto server = MustStart(NetOptions{});
   HttpClient client("127.0.0.1", server->port());

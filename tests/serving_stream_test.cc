@@ -291,6 +291,119 @@ TEST_F(ServingStreamTest, OutOfOrderMessagesAreCountedAndDropped) {
   EXPECT_EQ(resp.value().rejected, 1u);
 }
 
+// Zero ingest workers and drain workers run one ingest path: the same
+// chat, stragglers included, gets the same per-call verdicts, the same
+// channel accounting, the same final provisional dots and the same
+// finalized dots (which equal the batch first-visit path's).
+TEST_F(ServingStreamTest, ZeroWorkersMatchDrainWorkers) {
+  const auto chat = ChatOf(video_id_);
+  ASSERT_GT(chat.size(), 300u);
+  std::vector<core::Message> messages;
+  size_t stragglers = 0;
+  for (size_t i = 0; i < chat.size(); ++i) {
+    messages.push_back(chat[i]);
+    if (i % 97 == 50) {
+      core::Message late = chat[i - 10];
+      late.timestamp -= 1.0;
+      messages.push_back(late);
+      ++stragglers;
+    }
+  }
+
+  auto zero_db = OpenDb(dir_);
+  auto zero_opts = BaseOptions(zero_db.get());
+  zero_opts.stream_refresh_messages = 50;
+  auto zero = HighlightServer::Create(zero_opts);
+  ASSERT_TRUE(zero.ok());
+  auto workers_db = OpenDb(dir_ + "_ref/workers");
+  auto workers_opts = BaseOptions(workers_db.get());
+  workers_opts.stream_refresh_messages = 50;
+  workers_opts.ingest_workers = 2;
+  auto workers = HighlightServer::Create(workers_opts);
+  ASSERT_TRUE(workers.ok());
+
+  size_t rejected = 0;
+  for (size_t i = 0; i < messages.size(); i += 37) {
+    IngestChatRequest req;
+    req.video_id = video_id_;
+    req.messages.assign(
+        messages.begin() + static_cast<ptrdiff_t>(i),
+        messages.begin() +
+            static_cast<ptrdiff_t>(std::min(i + 37, messages.size())));
+    auto a = zero.value()->IngestChat(req);
+    auto b = workers.value()->IngestChat(req);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(a.value().accepted, b.value().accepted) << "batch at " << i;
+    EXPECT_EQ(a.value().rejected, b.value().rejected) << "batch at " << i;
+    rejected += a.value().rejected;
+  }
+  EXPECT_EQ(rejected, stragglers);
+
+  // Returned OK with no workers means in the engine: nothing is queued.
+  const auto zero_channels = zero.value()->ChannelsSnapshot();
+  ASSERT_EQ(zero_channels.size(), 1u);
+  EXPECT_EQ(zero_channels[0].queued_messages, 0u);
+
+  zero.value()->FlushIngest();
+  workers.value()->FlushIngest();
+  const auto workers_channels = workers.value()->ChannelsSnapshot();
+  ASSERT_EQ(workers_channels.size(), 1u);
+  EXPECT_EQ(zero_channels[0].admitted_messages, messages.size());
+  EXPECT_EQ(zero_channels[0].admitted_messages,
+            workers_channels[0].admitted_messages);
+  EXPECT_EQ(zero_channels[0].rejected_messages, stragglers);
+  EXPECT_EQ(zero_channels[0].rejected_messages,
+            workers_channels[0].rejected_messages);
+
+  auto zero_live = zero.value()->GetHighlights(video_id_);
+  auto workers_live = workers.value()->GetHighlights(video_id_);
+  ASSERT_TRUE(zero_live.ok());
+  ASSERT_TRUE(workers_live.ok());
+  EXPECT_TRUE(zero_live.value().provisional);
+  EXPECT_TRUE(workers_live.value().provisional);
+  EXPECT_FALSE(zero_live.value().highlights.empty());
+  ExpectSameRecords(zero_live.value().highlights,
+                    workers_live.value().highlights);
+
+  FinalizeStreamRequest freq;
+  freq.video_id = video_id_;
+  auto zero_fin = zero.value()->FinalizeStream(freq);
+  auto workers_fin = workers.value()->FinalizeStream(freq);
+  ASSERT_TRUE(zero_fin.ok()) << zero_fin.status().ToString();
+  ASSERT_TRUE(workers_fin.ok()) << workers_fin.status().ToString();
+  ExpectSameRecords(zero_fin.value().highlights,
+                    workers_fin.value().highlights);
+
+  auto batch_db = OpenDb(dir_ + "_ref/batch");
+  auto batch = HighlightServer::Create(BaseOptions(batch_db.get()));
+  ASSERT_TRUE(batch.ok());
+  auto visit = batch.value()->OnPageVisit({video_id_, "u"});
+  ASSERT_TRUE(visit.ok());
+  ExpectSameRecords(zero_fin.value().highlights, visit.value().highlights);
+}
+
+// The queue cap bounds the drain workers' backlog. With no workers the
+// caller drains its own batch, so a batch above the cap is admitted.
+TEST_F(ServingStreamTest, ZeroWorkersAdmitABatchAboveTheQueueCap) {
+  auto db = OpenDb(dir_);
+  auto opts = BaseOptions(db.get());
+  opts.ingest_queue_messages = 16;
+  auto server = HighlightServer::Create(opts);
+  ASSERT_TRUE(server.ok());
+
+  IngestChatRequest req;
+  req.video_id = video_id_;
+  const auto messages = ChatOf(video_id_);
+  req.messages.assign(messages.begin(), messages.begin() + 200);
+  auto resp = server.value()->IngestChat(req);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_FALSE(resp.value().throttled);
+  EXPECT_EQ(resp.value().accepted, 200u);
+  EXPECT_TRUE(resp.value().provisional_published);
+  EXPECT_GE(resp.value().snapshot_version, 1u);
+}
+
 TEST_F(ServingStreamTest, IngestRejectedAfterShutdown) {
   auto db = OpenDb(dir_);
   auto server = HighlightServer::Create(BaseOptions(db.get()));

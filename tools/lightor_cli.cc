@@ -596,8 +596,9 @@ common::Result<ServingStack> MakeServingStack(const common::Flags& flags,
       static_cast<size_t>(flags.GetInt("checkpoint-sessions", 0));
   sopts.checkpoint_interval_seconds =
       flags.GetDouble("checkpoint-interval", 0.0);
-  // Multi-channel live ingest: defaults keep the classic synchronous
-  // path; turn on workers + a rate to get fair-share DRR backpressure.
+  // Multi-channel live ingest: with no workers each /ingest call drains
+  // its own batch before answering; turn on workers + a rate to get
+  // fair-share DRR backpressure.
   sopts.stream_refresh_messages =
       static_cast<size_t>(flags.GetInt("refresh", 64));
   sopts.ingest_workers =
@@ -624,7 +625,6 @@ net::NetOptions NetOptionsFromFlags(const common::Flags& flags) {
       static_cast<size_t>(flags.GetInt("max-in-flight", 64));
   nopts.request_deadline_seconds = flags.GetDouble("deadline", 10.0);
   nopts.idle_timeout_seconds = flags.GetDouble("idle-timeout", 60.0);
-  nopts.use_epoll = !flags.GetBool("poll", false);
   return nopts;
 }
 
@@ -638,7 +638,7 @@ int CmdServeHttp(const common::Flags& flags) {
                  "--k=5 --workers=2\n"
                  "            --shards=16 --batch=8 --net-workers=4 "
                  "--max-in-flight=64\n"
-                 "            --deadline=10 --idle-timeout=60 --poll "
+                 "            --deadline=10 --idle-timeout=60 "
                  "--batched-flush=true\n"
                  "            --checkpoint-sessions=0 "
                  "--checkpoint-interval=0 --drain-grace=0\n"
