@@ -98,8 +98,8 @@ ChannelScheduler::Admission ChannelScheduler::ChargeBucket(Channel& ch,
 
 ChannelScheduler::Admission ChannelScheduler::Offer(
     const std::string& video_id, std::vector<core::Message> messages,
-    size_t offered) {
-  std::lock_guard<std::mutex> lk(mu_);
+    size_t offered, const DrainFn& drain) {
+  std::unique_lock<std::mutex> lk(mu_);
   Channel& ch = channels_[video_id];
   if (ch.closed) {
     Admission refused;
@@ -142,27 +142,18 @@ ChannelScheduler::Admission ChannelScheduler::Offer(
     ch.queue.push_back(std::move(batch));
     ch.queued_messages += count;
     total_queued_ += count;
-    result.ticket = ++ch.enqueued_batches;
     ChannelQueuedMessagesGauge().Add(static_cast<double>(count));
     Activate(video_id, ch);
   }
-  return result;
-}
-
-bool ChannelScheduler::DrainOffered(const std::string& video_id,
-                                    uint64_t ticket) {
-  if (options_.num_workers > 0 || ticket == 0) return false;
-  std::unique_lock<std::mutex> lk(mu_);
-  Channel& ch = channels_[video_id];
-  bool published = false;
-  while (ch.drained_batches < ticket) {
+  // No workers: the caller drains its channel before the call returns.
+  while (options_.num_workers == 0 && (ch.in_service || !ch.queue.empty())) {
     if (ch.in_service) {
       flush_cv_.wait(lk);
-    } else if (Visit(lk, video_id, ch)) {
-      published = true;
+    } else {
+      Visit(lk, video_id, ch, drain != nullptr ? drain : drain_);
     }
   }
-  return published;
+  return result;
 }
 
 void ChannelScheduler::ArmDeadline(const std::string& video_id,
@@ -327,7 +318,7 @@ void ChannelScheduler::WorkerLoop() {
     Channel& ch = channels_[video_id];
     ch.in_active = false;
     if (ch.queue.empty()) continue;  // drained by an earlier visit
-    Visit(lk, video_id, ch);
+    Visit(lk, video_id, ch, drain_);
   }
 }
 
@@ -338,8 +329,9 @@ void ChannelScheduler::Activate(const std::string& video_id, Channel& ch) {
   work_cv_.notify_one();
 }
 
-bool ChannelScheduler::Visit(std::unique_lock<std::mutex>& lk,
-                             const std::string& video_id, Channel& ch) {
+void ChannelScheduler::Visit(std::unique_lock<std::mutex>& lk,
+                             const std::string& video_id, Channel& ch,
+                             const DrainFn& drain) {
   ch.in_service = true;
   // DRR: move whole batches while they fit the accumulated deficit,
   // but always at least one, so a batch larger than the quantum makes
@@ -354,7 +346,6 @@ bool ChannelScheduler::Visit(std::unique_lock<std::mutex>& lk,
     take.push_back(std::move(ch.queue.front()));
     ch.queue.pop_front();
   }
-  const size_t batches = take.size();
   ch.queued_messages -= taken;
   total_queued_ -= taken;
   ch.deficit = ch.queue.empty() ? 0
@@ -363,19 +354,16 @@ bool ChannelScheduler::Visit(std::unique_lock<std::mutex>& lk,
   ChannelQueuedMessagesGauge().Add(-static_cast<double>(taken));
   ChannelDrainRoundsCounter().Increment();
   lk.unlock();
-  const bool published = drain_(video_id, std::move(take));
+  drain(video_id, std::move(take));
   lk.lock();
   ch.in_service = false;
-  ch.drained_batches += batches;
   if (ch.queue.empty()) {
     ChannelActiveGauge().Add(-1.0);
   } else {
     Activate(video_id, ch);
   }
-  // Flushers wait for an empty channel; with no workers, callers waiting
-  // for their ticket wait for the visit in service to end.
+  // Flushers wait for an empty channel.
   flush_cv_.notify_all();
-  return published;
 }
 
 }  // namespace lightor::serving

@@ -39,8 +39,8 @@ namespace lightor::serving {
 ///     per channel, so a hot channel's backlog cannot starve cold
 ///     channels: a cold channel's queue delay is bounded by (active
 ///     channels × quantum), independent of how deep the hot queue is.
-///     With no workers each offering caller runs the same visit step on
-///     its own channel (`DrainOffered`) until its batch is drained.
+///     With no workers `Offer` runs the same visit step on the calling
+///     thread, so its batch is drained before `Offer` returns.
 ///   * **Publish deadlines** (workers only). The server arms a deadline
 ///     for a channel whose drain left messages unpublished
 ///     (`ArmDeadline`). A min-heap keeps one live deadline per channel;
@@ -59,15 +59,15 @@ namespace lightor::serving {
 ///
 /// Lock ordering: shard → scheduler. Callers may invoke `Offer`/
 /// `ArmDeadline`/`RecordPublish` (which take the scheduler mutex) while
-/// holding a shard mutex; the scheduler never holds its mutex across
-/// `DrainFn`/`PublishFn` callbacks, so the order is acyclic.
-/// `DrainOffered`/`FlushChannel`/`CloseChannel`/`FlushAll` run or wait
-/// for drains and must be called WITHOUT any shard lock.
+/// holding a shard mutex; the scheduler never holds its mutex across a
+/// drain or `PublishFn` callback, so the order is acyclic.
+/// `FlushChannel`/`CloseChannel`/`FlushAll` wait for drains and must be
+/// called WITHOUT any shard lock.
 class ChannelScheduler {
  public:
   struct Options {
-    /// Drain worker threads. 0: each caller drains the batch it offered
-    /// on its own thread (`DrainOffered`).
+    /// Drain worker threads. 0: `Offer` drains the batch it queued on
+    /// the calling thread.
     size_t num_workers = 0;
     /// Token-bucket refill rate per channel, messages/second. 0 disables
     /// admission control (every batch admitted).
@@ -96,12 +96,11 @@ class ChannelScheduler {
     double enqueue_seconds = 0.0;
   };
 
-  /// Drains one channel's admitted batches into its engine and returns
-  /// whether that published a provisional snapshot. Invoked on a
-  /// scheduler worker, or on the offering caller with no workers, with
-  /// no scheduler lock held.
+  /// Drains one channel's admitted batches into its engine. Invoked on a
+  /// scheduler worker, or (with no workers) inside `Offer`, with no
+  /// scheduler lock held.
   using DrainFn =
-      std::function<bool(const std::string& video_id, std::vector<Batch>)>;
+      std::function<void(const std::string& video_id, std::vector<Batch>)>;
   /// Publishes a channel whose armed deadline came due. Invoked on a
   /// scheduler worker with no scheduler lock held; the deadline may have
   /// been met in the meantime, so the callee re-checks the channel's age.
@@ -116,9 +115,6 @@ class ChannelScheduler {
     /// Refused because the channel was closed by `CloseChannel` (stream
     /// finalizing), not because of budget.
     bool closed = false;
-    /// Position of the queued batch in its channel's FIFO (counted from
-    /// 1); 0 when nothing was queued. `DrainOffered` waits for it.
-    uint64_t ticket = 0;
   };
 
   static common::Result<std::unique_ptr<ChannelScheduler>> Create(
@@ -131,16 +127,15 @@ class ChannelScheduler {
   /// Admission + enqueue: charges the bucket for `offered` messages
   /// (all-or-nothing) and, when admitted, queues `messages` (the subset
   /// that passed the caller's ordering filter) for DRR draining. Nothing
-  /// is queued on refusal.
+  /// is queued on refusal. With no workers the calling thread then runs
+  /// DRR visits of the channel, each through `drain` (the `DrainFn` when
+  /// null), until its queue is empty, so an admitted batch is drained
+  /// when `Offer` returns. The server passes a `drain` that relies on the
+  /// shard lock it holds across the call; callers of one channel are then
+  /// serialized, and the wait for another thread's visit never happens.
   Admission Offer(const std::string& video_id,
-                  std::vector<core::Message> messages, size_t offered);
-
-  /// With no workers: runs DRR visits of `video_id` on the calling thread
-  /// until the batch `Offer` queued as `ticket` is drained, waiting while
-  /// another caller drains the channel. Returns whether a drain it ran
-  /// published. With workers (or `ticket == 0`) it returns false at once:
-  /// the workers drain the batch. Must not be called under a shard lock.
-  bool DrainOffered(const std::string& video_id, uint64_t ticket);
+                  std::vector<core::Message> messages, size_t offered,
+                  const DrainFn& drain = nullptr);
 
   /// Server callback: `video_id` has unpublished messages that must be
   /// published by `deadline_seconds` (scheduler clock). Keeps at most one
@@ -205,10 +200,6 @@ class ChannelScheduler {
     bool in_service = false;  ///< a visit is draining this channel
     bool in_active = false;   ///< queued on the round-robin list
     bool closed = false;
-    // Batches ever queued and ever drained; a batch's ticket is its
-    // `enqueued_batches` count, and visits drain in FIFO order.
-    uint64_t enqueued_batches = 0;
-    uint64_t drained_batches = 0;
     // Publish deadline; heap entries that do not match it are stale.
     bool deadline_armed = false;
     double deadline_seconds = 0.0;
@@ -244,11 +235,11 @@ class ChannelScheduler {
   /// Requires mu_ held.
   void Activate(const std::string& video_id, Channel& ch);
   /// One DRR visit: moves up to a quantum of `ch`'s queue (at least one
-  /// batch) into `DrainFn` with mu_ released, then re-lists the channel
-  /// if work remains. Requires `lk` to hold mu_, a non-empty queue and no
-  /// visit in service. Returns what `DrainFn` returned.
-  bool Visit(std::unique_lock<std::mutex>& lk, const std::string& video_id,
-             Channel& ch);
+  /// batch) into `drain` with mu_ released, then re-lists the channel if
+  /// work remains. Requires `lk` to hold mu_, a non-empty queue and no
+  /// visit in service.
+  void Visit(std::unique_lock<std::mutex>& lk, const std::string& video_id,
+             Channel& ch, const DrainFn& drain);
   void WorkerLoop();
 
   Options options_;

@@ -58,16 +58,16 @@ HighlightServer::HighlightServer(ServerOptions options)
   for (auto& [video_id, watermark] : SeedWatermarksFromDb(*options_.db)) {
     ShardFor(video_id).videos[video_id].watermark = watermark;
   }
-  // The per-channel admission + DRR tier. Its workers (or, with none,
-  // the ingesting callers) call DrainChannelBatches, which takes shard
-  // locks, so it must come after the shards and may start immediately.
+  // The per-channel admission + DRR tier. Its workers call
+  // DrainChannelBatches, which takes shard locks, so it must come after
+  // the shards and may start immediately.
   // Validate() ran the scheduler's own checks on these options.
   ingest_scheduler_ =
       ChannelScheduler::Create(
           options_.IngestSchedulerOptions(),
           [this](const std::string& id,
                  std::vector<ChannelScheduler::Batch> batches) {
-            return DrainChannelBatches(id, std::move(batches));
+            DrainChannelBatches(id, std::move(batches));
           },
           [this](const std::string& id) { PublishDueProvisional(id); })
           .value();
@@ -348,9 +348,9 @@ common::Result<PageVisitResponse> HighlightServer::OnPageVisit(
   return response;
 }
 
-bool HighlightServer::MaybePublishProvisional(const std::string& video_id,
+void HighlightServer::MaybePublishProvisional(const std::string& video_id,
                                               VideoState& state, bool force) {
-  if (state.stream == nullptr || state.stream_since_publish == 0) return false;
+  if (state.stream == nullptr || state.stream_since_publish == 0) return;
   const double now = ingest_scheduler_->Now();
   const bool threshold =
       state.stream_since_publish >= options_.stream_refresh_messages;
@@ -360,7 +360,7 @@ bool HighlightServer::MaybePublishProvisional(const std::string& video_id,
   const bool aged =
       max_delay > 0.0 && state.has_unpublished &&
       now >= state.oldest_unpublished_seconds + max_delay;
-  if (!threshold && !aged && !force) return false;
+  if (!threshold && !aged && !force) return;
   state.stream_since_publish = 0;
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->version =
@@ -380,7 +380,6 @@ bool HighlightServer::MaybePublishProvisional(const std::string& video_id,
   state.has_unpublished = false;
   ProvisionalStalenessHistogram().Observe(staleness);
   ingest_scheduler_->RecordPublish(video_id, staleness);
-  return true;
 }
 
 common::Result<IngestChatResponse> HighlightServer::IngestChat(
@@ -430,8 +429,19 @@ common::Result<IngestChatResponse> HighlightServer::IngestChat(
     accepted.push_back(m);
   }
   const size_t accepted_count = accepted.size();
+  const auto version = [&state] {
+    return state.snapshot == nullptr ? 0 : state.snapshot->version;
+  };
+  const uint64_t version_before = version();
+  // With no ingest workers `Offer` runs the DRR visit step on this thread
+  // and drains the batch into the engine before answering, still under
+  // the shard lock, so no other caller's drain of the channel overlaps.
   const ChannelScheduler::Admission admission = ingest_scheduler_->Offer(
-      req.video_id, std::move(accepted), req.messages.size());
+      req.video_id, std::move(accepted), req.messages.size(),
+      [this, &state](const std::string& id,
+                     std::vector<ChannelScheduler::Batch> batches) {
+        DrainIntoEngine(id, state, std::move(batches));
+      });
   if (!admission.admitted) {
     if (admission.closed) {
       return common::Status::FailedPrecondition(
@@ -446,19 +456,12 @@ common::Result<IngestChatResponse> HighlightServer::IngestChat(
     response.rejected = rejected;
     ingest_scheduler_->RecordRejected(req.video_id, rejected);
   }
-  // With no ingest workers this thread drains the batch into the engine
-  // before answering; the drain takes the shard lock itself.
-  lk.unlock();
-  response.provisional_published =
-      ingest_scheduler_->DrainOffered(req.video_id, admission.ticket);
-  lk = LockShard(shard);
-  if (state.snapshot != nullptr) {
-    response.snapshot_version = state.snapshot->version;
-  }
+  response.provisional_published = version() > version_before;
+  response.snapshot_version = version();
   return response;
 }
 
-bool HighlightServer::DrainChannelBatches(
+void HighlightServer::DrainChannelBatches(
     const std::string& video_id,
     std::vector<ChannelScheduler::Batch> batches) {
   obs::ScopedSpan span("serving.DrainChannel");
@@ -473,9 +476,14 @@ bool HighlightServer::DrainChannelBatches(
     size_t lost = 0;
     for (const auto& b : batches) lost += b.messages.size();
     ingest_scheduler_->RecordRejected(video_id, lost);
-    return false;
+    return;
   }
-  VideoState& state = it->second;
+  DrainIntoEngine(video_id, it->second, std::move(batches));
+}
+
+void HighlightServer::DrainIntoEngine(
+    const std::string& video_id, VideoState& state,
+    std::vector<ChannelScheduler::Batch> batches) {
   const bool was_unpublished = state.has_unpublished;
   for (auto& batch : batches) {
     auto counts = state.stream->IngestBatch(batch.messages);
@@ -492,13 +500,11 @@ bool HighlightServer::DrainChannelBatches(
       ingest_scheduler_->RecordRejected(video_id, counts.value().rejected);
     }
   }
-  const bool published =
-      MaybePublishProvisional(video_id, state, /*force=*/false);
+  MaybePublishProvisional(video_id, state, /*force=*/false);
   // First unpublished messages since the last publish: the bound becomes
   // a deadline the scheduler's workers keep, however quiet the channel
   // goes from here.
   if (!was_unpublished) ArmPublishDeadline(video_id, state);
-  return published;
 }
 
 void HighlightServer::ArmPublishDeadline(const std::string& video_id,

@@ -297,15 +297,18 @@ class HighlightServer {
   /// Publishes a provisional snapshot for `state` if the refresh
   /// threshold or the staleness age trigger fires (`force` publishes any
   /// unpublished progress regardless). Requires the shard mutex held.
-  /// Returns whether a snapshot was published.
-  bool MaybePublishProvisional(const std::string& video_id, VideoState& state,
+  void MaybePublishProvisional(const std::string& video_id, VideoState& state,
                                bool force);
 
-  /// ChannelScheduler drain callback: feeds a channel's admitted batches
-  /// into its shard engine and publishes when due. Returns whether it
-  /// published.
-  bool DrainChannelBatches(const std::string& video_id,
+  /// ChannelScheduler drain callback on its workers: takes the shard lock
+  /// and runs `DrainIntoEngine`.
+  void DrainChannelBatches(const std::string& video_id,
                            std::vector<ChannelScheduler::Batch> batches);
+  /// Feeds a channel's admitted batches into its engine and publishes
+  /// when due. Requires the shard mutex held; with no ingest workers
+  /// `IngestChat` passes it to `ChannelScheduler::Offer`.
+  void DrainIntoEngine(const std::string& video_id, VideoState& state,
+                       std::vector<ChannelScheduler::Batch> batches);
 
   /// Arms the channel's publish deadline (oldest unpublished admission +
   /// `stream_publish_max_delay_seconds`) when it has unpublished
@@ -358,11 +361,11 @@ class HighlightServer {
   storage::Crawler crawler_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Per-channel admission budgets + DRR drain tier. Its workers (or,
-  /// with none, the ingesting callers) call back into
-  /// `DrainChannelBatches` and `PublishDueProvisional`, which take shard
-  /// locks — the scheduler never holds its own lock across a callback,
-  /// so shard → scheduler ordering is acyclic.
+  /// Per-channel admission budgets + DRR drain tier. Its workers call
+  /// back into `DrainChannelBatches` and `PublishDueProvisional`, which
+  /// take shard locks — the scheduler never holds its own lock across a
+  /// callback, so shard → scheduler ordering is acyclic. With no workers
+  /// the ingesting caller drains under the shard lock it already holds.
   std::unique_ptr<ChannelScheduler> ingest_scheduler_;
 
   /// Coarse database mutex; see the lock-ordering note above.

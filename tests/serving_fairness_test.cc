@@ -46,9 +46,7 @@ std::vector<core::Message> MakeMessages(size_t count, double start_ts) {
 // ChannelScheduler unit tests (fixed injectable clock). The admission
 // cases offer no messages, so nothing is queued and nothing drains.
 
-bool NoDrain(const std::string&, std::vector<ChannelScheduler::Batch>) {
-  return false;
-}
+void NoDrain(const std::string&, std::vector<ChannelScheduler::Batch>) {}
 
 TEST(ChannelSchedulerTest, RetryAfterComesFromBucketRefillTime) {
   double now = 0.0;
@@ -106,6 +104,43 @@ TEST(ChannelSchedulerTest, ClosedChannelRefusesOffersUntilReopened) {
   EXPECT_TRUE(sched.value()->Offer("ch", {}, 1).admitted);
 }
 
+TEST(ChannelSchedulerTest, ZeroWorkersOfferDrainsBeforeReturning) {
+  size_t by_drain_fn = 0;
+  ChannelScheduler::Options opts;
+  opts.num_workers = 0;
+  opts.max_queue_messages = 4;
+  opts.quantum_messages = 2;
+  auto sched = ChannelScheduler::Create(
+      opts, [&](const std::string&, std::vector<ChannelScheduler::Batch> b) {
+        for (const auto& batch : b) by_drain_fn += batch.messages.size();
+      });
+  ASSERT_TRUE(sched.ok()) << sched.status().ToString();
+
+  // Without a drain of its own the caller runs the DrainFn; a batch
+  // above the queue cap and the quantum is admitted and drained whole.
+  ASSERT_TRUE(sched.value()->Offer("ch", MakeMessages(9, 0.0), 9).admitted);
+  EXPECT_EQ(by_drain_fn, 9u);
+
+  // A caller's own drain replaces the DrainFn.
+  size_t by_caller = 0;
+  ASSERT_TRUE(sched.value()
+                  ->Offer("ch", MakeMessages(3, 9.0), 3,
+                          [&](const std::string& id,
+                              std::vector<ChannelScheduler::Batch> b) {
+                            EXPECT_EQ(id, "ch");
+                            ASSERT_EQ(b.size(), 1u);
+                            by_caller += b[0].messages.size();
+                          })
+                  .admitted);
+  EXPECT_EQ(by_caller, 3u);
+  EXPECT_EQ(by_drain_fn, 9u);
+
+  const auto snap = sched.value()->Snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].queued_messages, 0u);
+  EXPECT_EQ(snap[0].admitted_messages, 12u);
+}
+
 TEST(ChannelSchedulerTest, DeficitRoundRobinServesColdAheadOfHotBacklog) {
   // Gate the drain callback so the whole offered load is queued before
   // any draining happens — the recorded drain order is then a pure
@@ -124,7 +159,6 @@ TEST(ChannelSchedulerTest, DeficitRoundRobinServesColdAheadOfHotBacklog) {
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] { return release; });
         order.push_back(id);
-        return false;
       });
   ASSERT_TRUE(sched.ok()) << sched.status().ToString();
 
